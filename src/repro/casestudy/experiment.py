@@ -26,7 +26,7 @@ from repro.core import envcache
 from repro.core.allocation import Allocator
 from repro.core.calendar import Calendar
 from repro.core.controller import Controller, ExperimentHandle
-from repro.core.errors import ExperimentError
+from repro.core.errors import ExperimentError, SimulationError
 from repro.core.experiment import Experiment, Role
 from repro.core.results import ResultStore
 from repro.core.scheduler import WorkerEnv, WorkerWorld
@@ -101,7 +101,14 @@ def _loadgen_measurement(ctx: ScriptContext) -> dict:
     job = setup.loadgen.start(
         rate_pps=rate, frame_size=size, duration_s=duration, interval_s=interval
     )
-    setup.sim.run(until=setup.sim.now + duration + drain)
+    until = setup.sim.now + duration + drain
+    try:
+        job.check_drained(until)
+    except SimulationError as exc:
+        raise ExperimentError(
+            f"run {ctx.run_index}: {exc} (the 'drain' variable is {drain}s)"
+        ) from exc
+    setup.sim.run(until=until)
     ctx.tools.upload("moongen.log", format_report(job))
     if job.timestamping and job.latency_samples_s:
         ctx.tools.upload("histogram.csv", latency_histogram_csv(job))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import ClassVar, List, Optional
 
 from repro.core.errors import SimulationError
 from repro.netsim.engine import Simulator
@@ -63,6 +63,26 @@ class MoonGenJob:
     intervals: List[IntervalStats] = field(default_factory=list)
     timestamping: bool = False
     finished: bool = False
+    #: Last instant the batched fast path replayed for this job (its
+    #: latest frame event), or None on the event path.  A plain
+    #: attribute, not a dataclass field: it stays out of comparisons,
+    #: ``repr`` and ``asdict``.
+    drain_horizon_s: ClassVar[Optional[float]] = None
+
+    def check_drained(self, until: float) -> None:
+        """Fail unless ``sim.run(until=until)`` covers the replayed drain.
+
+        The fast path replays a run to its fully drained state up
+        front; that state is the event path's only if the simulator
+        then runs at least until the last replayed frame event.
+        """
+        horizon = self.drain_horizon_s
+        if horizon is not None and until < horizon:
+            raise SimulationError(
+                f"run window ends at t={until:.9f}s but the replayed "
+                f"traffic drains only at t={horizon:.9f}s; lengthen the "
+                f"drain time after the {self.duration_s}s measurement"
+            )
 
     @property
     def tx_mpps(self) -> float:
@@ -207,7 +227,7 @@ class MoonGen:
         replayable feed-forward DAG (or batching is disabled), in which
         case the caller schedules the legacy per-packet event loop.
         Consecutive runs on an unchanged topology reuse the compiled
-        stage table and its replay arrays (the vectorized sweep path).
+        stage table.  The replay records ``job.drain_horizon_s``.
         """
         from repro.netsim import fastpath
 

@@ -1,4 +1,4 @@
-"""Batched packet-event fast path: DAG compiler + array-at-a-time kernel.
+"""Batched packet-event fast path: DAG compiler + column-pass replay kernel.
 
 The discrete-event engine schedules roughly six Python-level events per
 generated packet, so a Fig. 3 sweep costs ``rates x sizes x packets``
@@ -19,24 +19,55 @@ hard-coded: a :class:`~repro.netsim.router.LinuxRouter` subclass with a
 different (but still size-pure) cost model compiles as long as it
 re-declares the capability for its own overrides; a subclass that
 overrides behaviour below the declaring class is rejected and falls
-back to the event path.
+back to the event path.  Consecutive runs that share a compiled
+topology (a rate x size sweep on one world) reuse the spec through
+:func:`acquire_dag`, which re-verifies quiescence instead of
+recompiling.
 
-:func:`run_batched` replays one whole measurement job through the
-stage table *array-at-a-time*: the send loop materializes the batch
-into flat parallel arrays (departure time, send time, latency-sampled
-flag, flow id), then every stage makes one pass over the arrays,
-compacting dropped frames — no heap, no callbacks, no per-packet
-``Packet`` allocations.  Consecutive runs that share a compiled
-topology (a rate x size sweep on one world) reuse both the spec and
-the preallocated arrays through :func:`acquire_dag`, which re-verifies
-quiescence instead of recompiling; ``fastpath.spec_reuse`` counts the
-vectorized-sweep engagements.
+:func:`run_batched` replays one whole measurement job as a short
+sequence of whole-column passes that CPython executes in C
+(``itertools.accumulate``, ``map``, list comprehensions, ``bisect``,
+``all(map(operator.le, ...))``): no heap, no callbacks, no ``Packet``
+allocations and — in every regime that verifies — no per-packet
+Python loop body.  Sends are processed in blocks of :data:`_BLOCK`;
+each FIFO stage (the generator's TX ring, a device backlog, an egress
+NIC ring) carries its server free time and its last ``cap`` ring pop
+times from block to block, so a run's memory is bounded by the block,
+not by its packet count.
 
-The replay reproduces the event engine's arithmetic exactly:
+Each FIFO stage picks a *regime* up front from its nominal input
+spacing versus its service time, then proves the choice on every block
+with a C-level check before committing any state:
+
+* **under-loaded** (service < spacing): every frame finds the server
+  idle, completions are element-wise ``F = a + s``; verified by
+  ``all(map(ge, A[1:], F))``.  No drops.
+* **critical** (service ≈ spacing — an egress NIC fed frames spaced
+  exactly one serialization time apart, where rounding leaves 1-ulp
+  waits): the max-plus recurrence ``f = max(a, f) + s`` as one
+  ``accumulate``; verified by the ring never filling
+  (``P[i - cap] <= A[i]`` for the ring pop times ``P``).
+* **saturated** (service > spacing): the server is busy from the first
+  admitted frame, so completions are the chain ``accumulate(repeat(s))``
+  and the m-th admitted frame is the first arrival at or after the pop
+  time ``P[m - cap]``; admitted positions come from ``bisect`` plus a
+  running maximum, verified by every admitted frame arriving no later
+  than its predecessor's completion.
+
+A regime whose check fails hands the block to the next more general
+one (under-loaded → critical → saturated) and finally to the
+per-packet recurrence (:func:`_queue_loop`), which carries the same
+state; only a block that nothing else verifies pays for it.  Poisson
+send times keep their RNG loop (one ``expovariate`` draw per send,
+after the send) and then flow through the same stage passes; an RSS
+stage keeps its per-packet body inside the block pipeline and holds
+back completions a later block could still precede.
+
+Every float is produced by the same operation, on the same operands,
+in the same order as the event engine, so the replay is bit-identical:
 
 * send times and interval boundaries accumulate iteratively
-  (``t += gap``, ``boundary += interval_s``), like the event chain
-  does, so float rounding matches bit for bit;
+  (``t + gap``, ``boundary + interval_s``), like the event chain does;
 * TX-ring occupancy uses the pop-at-serialization-start semantics of
   :class:`~repro.netsim.nic.Nic`, device backlogs the
   pop-at-completion semantics of
@@ -51,9 +82,8 @@ The replay reproduces the event engine's arithmetic exactly:
   against the job because the job's finish event wins the heap tie,
   interval boundaries roll on ``now >= boundary`` capped at the
   deadline, the send sequence number advances even for ring-dropped
-  frames, the Poisson RNG is drawn once per send after the send, a
-  bridge's FDB learns the flow's source exactly when a frame completes
-  service).
+  frames, a bridge's FDB learns the flow's source exactly when a frame
+  completes service).
 
 Ineligible topologies — stochastic service times, undeclared
 overrides, contended cut-through switch ports, flooding multi-port
@@ -63,18 +93,21 @@ the fast path globally, which is how the equivalence tests and
 benchmarks pit the two implementations against each other.
 
 The fast path computes the *fully drained* end state: every frame in
-flight at the deadline is followed to its terminal stage.  The DAG's
-queues are bounded and its service times deterministic, so the
-residual drain spans at most a few milliseconds of simulated time —
-far below the drain window every caller in this repository runs the
-simulator for — which makes the drained state and the event path's
-post-run state identical.
+flight at the deadline is followed to its terminal stage.  That equals
+the event path's post-run state only if the caller then runs the
+simulator at least until the last replayed event, so the kernel records
+that instant on the job (``MoonGenJob.drain_horizon_s``) and callers
+check it with :meth:`~repro.loadgen.moongen.MoonGenJob.check_drained`
+against their ``sim.run(until=...)`` window.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate, chain, islice, repeat
+from operator import add, ge, le, sub
 from typing import Dict, List, Optional
 
 from repro.core.envcache import EnvSwitch
@@ -201,33 +234,6 @@ class StageSpec:
     learns_src: bool = False
 
 
-class _Scratch:
-    """Preallocated parallel arrays, reused across runs sharing a spec.
-
-    ``main`` holds the live batch (departure time, send time, sampled
-    flag, flow id); ``alt`` is the spare set the RSS merge permutes
-    into before swapping.  Lists only ever grow, so the second run of
-    a sweep replays entirely inside the first run's allocations.
-    """
-
-    __slots__ = ("_main", "_alt")
-
-    def __init__(self):
-        self._main = ([], [], [], [])
-        self._alt = ([], [], [], [])
-
-    @property
-    def main(self):
-        return self._main
-
-    @property
-    def alt(self):
-        return self._alt
-
-    def swap(self) -> None:
-        self._main, self._alt = self._alt, self._main
-
-
 @dataclass
 class DagSpec:
     """A compiled, analytically replayable feed-forward measurement DAG."""
@@ -237,8 +243,7 @@ class DagSpec:
     tx_post_delay_s: float
     rx_nic: Nic
     stages: List[StageSpec]
-    scratch: _Scratch = field(default_factory=_Scratch, repr=False)
-    #: How many runs re-engaged this spec (the vectorized sweep path).
+    #: How many runs re-engaged this spec instead of a fresh compile.
     #: Deliberately not a telemetry metric: reuse depends on execution
     #: history (which runs shared a world), and per-run telemetry must
     #: stay a pure function of the run for serial-vs-parallel identity.
@@ -398,10 +403,9 @@ def acquire_dag(moongen) -> Optional[DagSpec]:
     and eligibility re-verification — a re-wired link, a changed
     match-action rule or a busy queue all surface there), but when the
     result matches the cached spec structurally the *cached* spec is
-    returned, keeping its preallocated replay arrays warm.  That reuse
-    is what engages the vectorized sweep variant: every run of a
-    rate x size sweep after the first replays entirely inside the first
-    run's allocations.  ``DagSpec.reuse_count`` counts the engagements.
+    returned, so every run of a rate x size sweep after the first
+    replays through the same stage table.  ``DagSpec.reuse_count``
+    counts the engagements.
     """
     fresh = compile_dag(moongen)
     if fresh is None:
@@ -418,15 +422,16 @@ def acquire_dag(moongen) -> Optional[DagSpec]:
 def run_batched(moongen, job, spec: DagSpec) -> None:
     """Replay one whole measurement job through ``spec`` stage by stage.
 
-    Mutates ``job`` (counters, intervals, latency samples) and every
-    stage's statistics exactly as the event path would have after the
-    run fully drained.  Called by ``MoonGen.start`` right after the job
-    state was initialized; the job's finish event stays scheduled, so
-    overlap detection and ``finished`` timing are unchanged.
+    Mutates ``job`` (counters, intervals, latency samples,
+    ``drain_horizon_s``) and every stage's statistics exactly as the
+    event path would have after the run fully drained.  Called by
+    ``MoonGen.start`` right after the job state was initialized; the
+    job's finish event stays scheduled, so overlap detection and
+    ``finished`` timing are unchanged.
 
     Telemetry is strictly O(1) per batch — one counter, one span whose
-    wall-clock profile feeds the overhead benchmark — so the tight
-    replay loops themselves carry zero instrumentation.
+    wall-clock profile feeds the overhead benchmark — so the replay
+    passes themselves carry zero instrumentation.
     """
     collector = _telemetry.current()
     if collector is None:
@@ -444,301 +449,585 @@ def run_batched(moongen, job, spec: DagSpec) -> None:
         collector.finish(span)
 
 
-def _put(buf: list, index: int, value) -> None:
-    if index < len(buf):
-        buf[index] = value
+#: Sends per block.  A stage pass builds columns of at most one block
+#: (an RSS stage adds the completions it holds back), which bounds a
+#: run's working memory independently of its packet count.
+_BLOCK = 4096
+
+#: A stage whose service time is within this relative band of its
+#: nominal input spacing is replayed as critical (max-plus recurrence).
+_CRITICAL_BAND = 1e-3
+
+
+class _Queue:
+    """A single-server FIFO with a bounded ring, carried across blocks.
+
+    ``pops_at_start`` selects when a ring slot frees: a NIC TX ring
+    frees it when its frame starts serializing, a device backlog when
+    service completes.  ``tail`` holds the ring pop times of the last
+    (at most ``cap``) admitted frames; any older pop time is no later
+    than every arrival still to come, so it can never refuse one.
+    ``post`` is the constant delay added to each departure (the wire
+    after a NIC).
+    """
+
+    __slots__ = ("service", "cap", "post", "pops_at_start", "regimes",
+                 "free", "tail")
+
+    def __init__(self, service: float, cap: int, post: float,
+                 pops_at_start: bool, spacing: float):
+        self.service = service
+        self.cap = cap
+        self.post = post
+        self.pops_at_start = pops_at_start
+        self.free = -1.0
+        self.tail: List[float] = []
+        if cap < 1:
+            self.regimes = ()
+        elif service < spacing * (1.0 - _CRITICAL_BAND):
+            self.regimes = (_underloaded, _critical, _saturated)
+        elif service <= spacing * (1.0 + _CRITICAL_BAND):
+            self.regimes = (_critical, _saturated)
+        else:
+            self.regimes = (_saturated,)
+
+    def feed(self, arrivals: List[float]):
+        """Serve one block of sorted arrivals.
+
+        Returns ``(departures, admitted)``: ``admitted`` lists the
+        positions in ``arrivals`` of the frames that entered the ring,
+        or is None when every frame did.
+        """
+        for regime in self.regimes:
+            served = regime(self, arrivals)
+            if served is not None:
+                return served
+        return _queue_loop(self, arrivals)
+
+    def commit(self, pops: List[float], free: float) -> None:
+        cap = self.cap
+        if len(pops) >= cap:
+            self.tail = pops[-cap:]
+        else:
+            self.tail = (self.tail + pops)[-cap:]
+        self.free = free
+
+    def depart(self, finish: List[float]) -> List[float]:
+        post = self.post
+        if not post:
+            return finish
+        return [f + post for f in finish]
+
+
+def _underloaded(q: _Queue, A: List[float]):
+    """Every frame finds the server idle: departures are ``a + s``."""
+    if A[0] < q.free:
+        return None
+    s = q.service
+    F = [a + s for a in A]
+    if not all(map(ge, islice(A, 1, None), F)):
+        return None
+    # An idle server at every arrival leaves no earlier pop pending.
+    q.commit(A if q.pops_at_start else F, F[-1])
+    return q.depart(F), None
+
+
+def _critical(q: _Queue, A: List[float]):
+    """No frame is dropped: the max-plus recurrence as one accumulate."""
+    s = q.service
+    a0 = A[0]
+    free = q.free
+    first = a0 if a0 >= free else free
+    rest = islice(A, 1, None)
+    if q.pops_at_start:
+        S = list(accumulate(
+            rest, lambda st, a: a if a >= (f := st + s) else f, initial=first,
+        ))
+        F = [x + s for x in S]
+        P = S
     else:
-        buf.append(value)
+        F = list(accumulate(
+            rest, lambda f, a: (a if a >= f else f) + s, initial=first + s,
+        ))
+        P = F
+    # Frame i is admitted iff the pop cap frames before it happened by
+    # its arrival; with every frame admitted that is tail + P, shifted.
+    if not all(map(le, chain(q.tail, P), islice(A, q.cap - len(q.tail), None))):
+        return None
+    q.commit(P, F[-1])
+    return q.depart(F), None
+
+
+def _saturated(q: _Queue, A: List[float], bounded: bool = True):
+    """The server stays busy: completions form one ``+ s`` chain.
+
+    With the chain known, ring admission decouples from service: the
+    k-th admitted frame is the first arrival after the ring pop
+    ``cap`` admissions earlier, ``(tail + P)[k - k0]`` with
+    ``k0 = cap - len(tail)``.  Its position is
+    ``k + running max(bisect(A, pop) - k)``; the busy premise is then
+    checked on the admitted frames.
+    """
+    s = q.service
+    tail = q.tail
+    n = len(A)
+    k0 = q.cap - len(tail)
+    i0 = bisect_left(A, tail[0]) if k0 == 0 else 0
+    if i0 == n:
+        # The ring stays full through the whole block.
+        return [], []
+    a = A[i0]
+    free = q.free
+    start = a if a >= free else free
+    most = n - i0
+    if bounded:
+        # The k-th admission needs an arrival at or after P[k - cap],
+        # which the chain pushes past the block's last arrival.
+        most = min(most, q.cap + max(0, int((A[-1] - start) / s)) + 3)
+    F = list(accumulate(repeat(s, most - 1), initial=start + s))
+    P = [start] + F[:-1] if q.pops_at_start else F
+    if most == n and all(map(le, chain(tail, P), islice(A, k0, None))):
+        idx = None
+        K = n
+        busy = all(map(le, islice(A, 1, None), F))
+    else:
+        pops = (tail + P)[:max(most - k0, 0)]
+        terms = list(map(sub, map(bisect_left, repeat(A), pops),
+                         range(k0, most)))
+        if all(map(le, terms, islice(terms, 1, None))):
+            zero = bisect_left(terms, 0)
+            if zero:
+                terms[:zero] = repeat(0, zero)
+        else:
+            terms = list(accumulate(terms, max, initial=0))
+            del terms[0]
+        idx = list(range(min(k0, most)))
+        idx += map(add, terms, range(k0, most))
+        K = bisect_left(idx, n)
+        if K == most and most < n - i0:
+            return _saturated(q, A, bounded=False)
+        del idx[K:]
+        busy = all(map(le, map(A.__getitem__, islice(idx, 1, None)), F))
+    if not busy:
+        return None
+    del F[K:]
+    q.commit(P[:K], F[-1])
+    return q.depart(F), idx
+
+
+def _queue_loop(q: _Queue, A: List[float]):
+    """The per-packet recurrence, for blocks no regime verifies."""
+    s = q.service
+    cap = q.cap
+    at_start = q.pops_at_start
+    free = q.free
+    pops = deque(q.tail)
+    F: List[float] = []
+    idx: List[int] = []
+    for i, a in enumerate(A):
+        while pops and pops[0] <= a:
+            pops.popleft()
+        if len(pops) >= cap:
+            continue
+        start = a if a >= free else free
+        free = start + s
+        pops.append(start if at_start else free)
+        F.append(free)
+        idx.append(i)
+    q.free = free
+    q.tail = list(pops)
+    return q.depart(F), (None if len(idx) == len(A) else idx)
+
+
+def _survivors(G: Optional[List[int]], idx: Optional[List[int]],
+               base: int) -> Optional[List[int]]:
+    """Send indices of the frames a stage admitted (None: all of G)."""
+    if idx is None:
+        return G
+    if G is None:
+        return [base + i for i in idx]
+    return [G[i] for i in idx]
+
+
+def _ingress(stage: StageSpec, n: int, frame: int) -> None:
+    stats = stage.ingress.stats
+    stats.rx_packets += n
+    stats.rx_bytes += n * frame
+
+
+class _NicStage:
+    """A NIC's TX ring and serializer (the generator's own, or egress)."""
+
+    def __init__(self, nic: Nic, post: float, bits: int, frame: int,
+                 spacing: float):
+        self.stats = nic.stats
+        self.frame = frame
+        self.queue = _Queue(bits / nic.line_rate_bps, nic.tx_ring_size,
+                            post, True, spacing)
+        #: Nominal spacing of the departures, which the next stage sees.
+        self.spacing_out = max(spacing, self.queue.service)
+
+    def feed(self, A, G, base):
+        out, idx = self.queue.feed(A)
+        sent = len(out)
+        stats = self.stats
+        stats.tx_dropped += len(A) - sent
+        stats.tx_packets += sent
+        stats.tx_bytes += sent * self.frame
+        return out, _survivors(G, idx, base)
+
+
+class _FifoStage:
+    """A single-server :class:`ForwardingDevice` backlog."""
+
+    def __init__(self, stage: StageSpec, probe: Packet, frame: int,
+                 spacing: float):
+        device = stage.device
+        self.device = device
+        self.stage = stage
+        self.src = probe.src
+        self.frame = frame
+        self.gate_open = device.gate() if device.gate is not None else True
+        self.queue = _Queue(device.service_time(probe), device.backlog_limit,
+                            0.0, False, spacing)
+        self.spacing_out = max(spacing, self.queue.service)
+
+    def feed(self, A, G, base):
+        n = len(A)
+        stage = self.stage
+        _ingress(stage, n, self.frame)
+        stats = self.device.stats
+        stats.received += n
+        if not self.gate_open:
+            stats.backlog_dropped += n
+            return [], None
+        out, idx = self.queue.feed(A)
+        stats.backlog_dropped += n - len(out)
+        stats.forwarded += len(out)
+        if stage.learns_src and out and self.src:
+            # The bridge learns src -> ingress the first time a frame
+            # reaches output_port; idempotent for a single-flow batch.
+            self.device._fdb[self.src] = stage.ingress
+        return out, _survivors(G, idx, base)
+
+
+class _AsicStage:
+    """A match-action pipeline: a constant latency, no queue.
+
+    The compiler only admits a switch whose table steers our flow to a
+    fixed egress distinct from the ingress, so every frame matches.
+    """
+
+    def __init__(self, stage: StageSpec, frame: int, spacing: float):
+        self.stage = stage
+        self.frame = frame
+        self.spacing_out = spacing
+
+    def feed(self, A, G, base):
+        n = len(A)
+        _ingress(self.stage, n, self.frame)
+        self.stage.device.matched += n
+        return [a + PIPELINE_LATENCY_S for a in A], G
+
+
+class _RssStage:
+    """A multi-core RSS device: per-core FIFOs merged back in order.
+
+    Frames are steered to ``flow % cores`` and serviced per-core FIFO
+    in a per-packet body; completions are merged back into egress
+    arrival order on (completion, service start, arrival index): at
+    equal completion times the service that *started* earlier
+    scheduled its finish event earlier and therefore wins the event
+    heap's sequence tie.  A frame of a later block completes no earlier
+    than this block's last arrival plus one service time, so only
+    completions before that are released; the rest are held for the
+    next block (or :meth:`flush`).
+    """
+
+    def __init__(self, stage: StageSpec, probe: Packet, frame: int,
+                 spacing: float, seq0: int, flows: int):
+        device = stage.device
+        self.device = device
+        self.stage = stage
+        self.src = probe.src
+        self.frame = frame
+        self.seq0 = seq0
+        self.flows = flows
+        self.gate_open = device.gate() if device.gate is not None else True
+        self.service = device.service_time(probe)
+        self.free = [-1.0] * device.cores
+        self.pops = [deque() for __ in range(device.cores)]
+        self.arrived = 0
+        self.held: list = []
+        self.spacing_out = max(spacing, self.service / device.cores)
+
+    def feed(self, A, G, base):
+        n = len(A)
+        stage = self.stage
+        device = self.device
+        _ingress(stage, n, self.frame)
+        stats = device.stats
+        stats.received += n
+        if not self.gate_open:
+            stats.backlog_dropped += n
+            return [], None
+        cores = device.cores
+        service = self.service
+        limit = device.backlog_limit
+        per_core_forwarded = device.per_core_forwarded
+        seq0 = self.seq0
+        flows = self.flows
+        free = self.free
+        pops = self.pops
+        out = self.held
+        held = len(out)
+        key = self.arrived
+        for a, g in zip(A, range(base, base + n) if G is None else G):
+            key += 1
+            core = (seq0 + g) % flows % cores
+            cpops = pops[core]
+            while cpops and cpops[0] <= a:
+                cpops.popleft()
+            if len(cpops) >= limit:
+                stats.backlog_dropped += 1
+                continue
+            begin = a if a >= free[core] else free[core]
+            done = begin + service
+            cpops.append(done)
+            free[core] = done
+            stats.forwarded += 1
+            per_core_forwarded[core] += 1
+            out.append((done, begin, key, g))
+        self.arrived = key
+        out.sort()
+        if stage.learns_src and len(out) > held and self.src:
+            device._fdb[self.src] = stage.ingress
+        cut = bisect_left(out, (A[-1] + service,))
+        self.held = out[cut:]
+        return [x[0] for x in out[:cut]], [x[3] for x in out[:cut]]
+
+    def flush(self):
+        out = self.held
+        self.held = []
+        return [x[0] for x in out], [x[3] for x in out]
+
+
+def _interval_counts(counts: List[int], bounds: List[float],
+                     times: List[float], total: int,
+                     G: Optional[List[int]] = None, base: int = 0) -> None:
+    """Add a block's counted events to the per-interval ``counts``.
+
+    ``times`` is sorted; an event at ``t`` belongs to interval
+    ``bisect_right(bounds, t)``.  With ``G`` only the sends whose index
+    is in ``G`` count (``total`` of them), otherwise every time does.
+    """
+    lo = bisect_right(bounds, times[0])
+    hi = bisect_right(bounds, times[-1])
+    done = 0
+    for j in range(lo, hi):
+        upto = bisect_left(times, bounds[j])
+        if G is not None:
+            upto = bisect_left(G, base + upto)
+        counts[j] += upto - done
+        done = upto
+    counts[hi] += total - done
+
+
+class _Replay:
+    """One job's replay: the stage pipeline, its RX sink and counters.
+
+    Interval attribution.  The event path rolls one shared boundary
+    cursor in global time order, so attribution is a pure function of
+    an event's time: an event at ``t`` belongs to interval
+    ``bisect_right(bounds, t)``.  The boundaries accumulate
+    ``+= interval_s`` like the cursor does; ``cursor`` appends the
+    cursor's state once it passed the deadline.
+    """
+
+    def __init__(self, moongen, job, spec: DagSpec):
+        self.job = job
+        self.deadline = deadline = moongen._deadline
+        self.every = moongen.latency_sample_every
+        self.seq0 = seq0 = moongen._seq
+        #: Send ``g`` of this job is timestamped iff ``g % every ==
+        #: first`` (its sequence number is a multiple of ``every``).
+        self.first = (-seq0) % self.every
+        frame = job.frame_size
+        self.frame = frame
+        self.gap = gap = 1.0 / job.rate_pps
+
+        bounds: List[float] = []
+        boundary = moongen._next_interval_end
+        while boundary <= deadline:
+            bounds.append(boundary)
+            boundary += job.interval_s
+        self.bounds = bounds
+        self.cursor = bounds + [boundary]
+        self.tx_counts = [0] * len(self.cursor)
+        self.rx_counts = [0] * len(self.cursor)
+
+        # Nominal spacing entering each stage picks its regime.
+        bits = wire_bits(frame)
+        probe = Packet(
+            seq=0, frame_size=frame, flow=0,
+            src=spec.tx_nic.name, dst=spec.rx_nic.name,
+        )
+        self.stages = [_NicStage(spec.tx_nic, spec.tx_post_delay_s, bits,
+                                 frame, gap)]
+        spacing = self.stages[0].spacing_out
+        for stage in spec.stages:
+            kind = stage.kind
+            if kind == "serialize":
+                nxt = _NicStage(stage.nic, stage.post_delay_s, bits, frame,
+                                spacing)
+            elif kind == "fifo":
+                nxt = _FifoStage(stage, probe, frame, spacing)
+            elif kind == "rss":
+                nxt = _RssStage(stage, probe, frame, spacing, seq0, job.flows)
+            else:
+                nxt = _AsicStage(stage, frame, spacing)
+            self.stages.append(nxt)
+            spacing = nxt.spacing_out
+        self.rss = any(isinstance(st, _RssStage) for st in self.stages)
+
+        self.rx_stats = spec.rx_nic.stats
+        #: Send times of the timestamped frames by sample number; only
+        #: kept when an RSS stage releases frames out of send order
+        #: across blocks.
+        self.stamps: List[float] = []
+        self.T: List[float] = []
+        self.base = 0
+        self.admitted = 0
+        self.received = 0
+        self.last_rx: Optional[float] = None
+        self.horizon = moongen.sim.now
+
+    def send_block(self, T: List[float], base: int) -> None:
+        """Replay sends ``base, base + 1, ...`` at times ``T``."""
+        self.T = T
+        self.base = base
+        if self.rss and self.job.timestamping:
+            self.stamps.extend(T[(self.first - base) % self.every::self.every])
+        self.horizon = max(self.horizon, T[-1])
+        A, G = self.stages[0].feed(T, None, base)
+        if A:
+            self.admitted += len(A)
+            _interval_counts(self.tx_counts, self.bounds, T, len(A), G, base)
+            self.push(A, G, 1)
+
+    def push(self, A, G, position: int) -> None:
+        """Feed non-empty sorted arrivals ``A`` (sends ``G``) from a stage on."""
+        for stage in self.stages[position:]:
+            self.horizon = max(self.horizon, A[-1])
+            A, G = stage.feed(A, G, self.base)
+            if not A:
+                return
+        self.horizon = max(self.horizon, A[-1])
+        self.receive(A, G)
+
+    def receive(self, D: List[float], G: Optional[List[int]]) -> None:
+        """The RX sink: count arrivals before the deadline, take samples."""
+        frame = self.frame
+        self.rx_stats.rx_packets += len(D)
+        self.rx_stats.rx_bytes += len(D) * frame
+        c = bisect_left(D, self.deadline)
+        if not c:
+            return
+        self.received += c
+        self.last_rx = D[c - 1]
+        _interval_counts(self.rx_counts, self.bounds, D[:c], c)
+        if not self.job.timestamping:
+            return
+        every = self.every
+        first = self.first
+        samples = self.job.latency_samples_s
+        T = self.T
+        base = self.base
+        if G is None:
+            # Every send of the block came back, in send order.
+            k = (first - base) % every
+            samples.extend(map(sub, D[k:c:every], T[k:c:every]))
+        elif self.rss:
+            stamps = self.stamps
+            samples.extend([
+                d - stamps[(g - first) // every]
+                for d, g in zip(D[:c], G) if (g - first) % every == 0
+            ])
+        else:
+            # This block's survivors, in send order: look each
+            # timestamped send up instead of scanning every frame.
+            for g in range(base + (first - base) % every, base + len(T), every):
+                k = bisect_left(G, g, 0, c)
+                if k < c and G[k] == g:
+                    samples.append(D[k] - T[g - base])
+
+    def flush(self) -> None:
+        """Release what RSS stages held back once the sends ran out."""
+        for position, stage in enumerate(self.stages):
+            if isinstance(stage, _RssStage) and stage.held:
+                A, G = stage.flush()
+                self.push(A, G, position + 1)
+
+    def finish(self, moongen, sent: int, last_send: float) -> None:
+        job = self.job
+        frame = self.frame
+        moongen._seq = self.seq0 + sent
+        job.tx_packets += self.admitted
+        job.tx_bytes += self.admitted * frame
+        job.rx_packets += self.received
+        job.rx_bytes += self.received * frame
+        job.drain_horizon_s = self.horizon
+        # Create the intervals the cursor rolled into and leave the
+        # shared roll state where the last (latest-time) counted event
+        # left it.
+        bounds = self.bounds
+        last = bisect_right(bounds, last_send)
+        if self.last_rx is not None:
+            last = max(last, bisect_right(bounds, self.last_rx))
+        intervals = job.intervals
+        for q in range(last + 1 - len(intervals)):
+            intervals.append(IntervalStats(start=self.cursor[q]))
+        for k in range(last + 1):
+            stats = intervals[k]
+            stats.tx_packets += self.tx_counts[k]
+            stats.tx_bytes += self.tx_counts[k] * frame
+            stats.rx_packets += self.rx_counts[k]
+            stats.rx_bytes += self.rx_counts[k] * frame
+        moongen._interval = intervals[last]
+        moongen._next_interval_end = self.cursor[last]
 
 
 def _replay_dag(moongen, job, spec: DagSpec) -> None:
-    deadline = moongen._deadline
-    timestamping = job.timestamping
-    sample_every = moongen.latency_sample_every
-    poisson = job.pattern == "poisson"
-    rng = moongen._rng
-    flows = job.flows
-    frame = job.frame_size
+    replay = _Replay(moongen, job, spec)
+    deadline = replay.deadline
+    gap = replay.gap
     rate = job.rate_pps
-    bits = wire_bits(frame)
-    probe = Packet(
-        seq=0, frame_size=frame, flow=0,
-        src=spec.tx_nic.name, dst=spec.rx_nic.name,
-    )
-
-    scratch = spec.scratch
-    times, t_send, sampled_a, flow_a = scratch.main
-
-    # Interval attribution.  The event path rolls one shared boundary
-    # cursor in global time order; attribution is therefore a pure
-    # function of the event's time.  We replay it with two independent
-    # cursors (sends are visited in send order, receives in arrival
-    # order, which runs ahead of the sends that produced them) plus one
-    # creation cursor appending IntervalStats in boundary order — all
-    # three accumulate ``+= interval_s`` from the same start, so they
-    # yield bit-identical boundary floats at equal indices.
-    intervals = job.intervals
-    interval_s = job.interval_s
-    tx_boundary = moongen._next_interval_end
-    rx_boundary = tx_boundary
-    create_boundary = tx_boundary
-    tx_idx = 0
-    rx_idx = 0
-
-    # -- send loop + first TX stage (ring + serialization) ---------------
-    tx_nic = spec.tx_nic
-    tx_delay = bits / tx_nic.line_rate_bps
-    tx_ring = tx_nic.tx_ring_size
-    tx_stats = tx_nic.stats
-    post = spec.tx_post_delay_s
-    tx_free = -1.0
-    tx_pops: deque = deque()
-
-    n = 0
+    poisson = job.pattern == "poisson"
+    expovariate = moongen._rng.expovariate
     t = moongen.sim.now
-    seq = moongen._seq
+    sent = 0
+    last_send = t
     while t < deadline:
-        while t >= tx_boundary and tx_boundary <= deadline:
-            tx_boundary += interval_s
-            tx_idx += 1
-        while len(intervals) <= tx_idx:
-            intervals.append(IntervalStats(start=create_boundary))
-            create_boundary += interval_s
-        sampled = timestamping and seq % sample_every == 0
-        flow = seq % flows
-        seq += 1
-
-        while tx_pops and tx_pops[0] <= t:
-            tx_pops.popleft()
-        if len(tx_pops) >= tx_ring:
-            tx_stats.tx_dropped += 1
+        if poisson:
+            # One draw per send, after the send, like the event chain.
+            T = []
+            append = T.append
+            for __ in repeat(None, _BLOCK):
+                if t >= deadline:
+                    break
+                append(t)
+                t = t + expovariate(rate)
         else:
-            start = t if t >= tx_free else tx_free
-            finish = start + tx_delay
-            tx_pops.append(start)
-            tx_free = finish
-            tx_stats.tx_packets += 1
-            tx_stats.tx_bytes += frame
-            job.tx_packets += 1
-            job.tx_bytes += frame
-            interval = intervals[tx_idx]
-            interval.tx_packets += 1
-            interval.tx_bytes += frame
-            _put(times, n, finish + post)
-            _put(t_send, n, t)
-            _put(sampled_a, n, sampled)
-            _put(flow_a, n, flow)
-            n += 1
-
-        gap = rng.expovariate(rate) if poisson else 1.0 / rate
-        t = t + gap
-    moongen._seq = seq
-
-    # -- one pass per compiled stage --------------------------------------
-    for stage in spec.stages:
-        if n == 0:
-            break
-        kind = stage.kind
-        if kind == "serialize":
-            n = _pass_serialize(stage, scratch, n, bits, frame)
-        elif kind == "fifo":
-            n = _pass_fifo(stage, scratch, n, probe, frame)
-        elif kind == "rss":
-            n = _pass_rss(stage, scratch, n, probe, frame)
-        else:
-            n = _pass_asic(stage, scratch, n, frame)
-        times, t_send, sampled_a, flow_a = scratch.main
-
-    # -- RX sink -----------------------------------------------------------
-    rx_stats = spec.rx_nic.stats
-    samples = job.latency_samples_s
-    for i in range(n):
-        back = times[i]
-        rx_stats.rx_packets += 1
-        rx_stats.rx_bytes += frame
-        if back < deadline:
-            while back >= rx_boundary and rx_boundary <= deadline:
-                rx_boundary += interval_s
-                rx_idx += 1
-            while len(intervals) <= rx_idx:
-                intervals.append(IntervalStats(start=create_boundary))
-                create_boundary += interval_s
-            rstats = intervals[rx_idx]
-            job.rx_packets += 1
-            job.rx_bytes += frame
-            rstats.rx_packets += 1
-            rstats.rx_bytes += frame
-            if sampled_a[i]:
-                samples.append(back - t_send[i])
-
-    # Leave the shared roll state where the last (latest-time) counted
-    # event would have left it.
-    if rx_idx >= tx_idx:
-        moongen._interval = intervals[rx_idx]
-        moongen._next_interval_end = rx_boundary
-    else:
-        moongen._interval = intervals[tx_idx]
-        moongen._next_interval_end = tx_boundary
-
-
-def _pass_serialize(stage: StageSpec, scratch: _Scratch, n: int,
-                    bits: int, frame: int) -> int:
-    """One pass through a NIC's TX ring and serializer.
-
-    A ring slot frees when its frame *starts* serializing; frames
-    meeting a full ring are dropped and counted, exactly like
-    :meth:`Nic.transmit`.
-    """
-    nic = stage.nic
-    delay = bits / nic.line_rate_bps
-    ring = nic.tx_ring_size
-    stats = nic.stats
-    post = stage.post_delay_s
-    free = -1.0
-    pops: deque = deque()
-    times, t_send, sampled_a, flow_a = scratch.main
-    w = 0
-    for i in range(n):
-        arrive = times[i]
-        while pops and pops[0] <= arrive:
-            pops.popleft()
-        if len(pops) >= ring:
-            stats.tx_dropped += 1
-            continue
-        start = arrive if arrive >= free else free
-        finish = start + delay
-        pops.append(start)
-        free = finish
-        stats.tx_packets += 1
-        stats.tx_bytes += frame
-        times[w] = finish + post
-        t_send[w] = t_send[i]
-        sampled_a[w] = sampled_a[i]
-        flow_a[w] = flow_a[i]
-        w += 1
-    return w
-
-
-def _pass_fifo(stage: StageSpec, scratch: _Scratch, n: int,
-               probe: Packet, frame: int) -> int:
-    """One pass through a single-server FIFO device.
-
-    A backlog slot frees when its frame's service *completes*; the
-    admission gate is probed once per batch (it is constant during a
-    replayed run), the service time once per batch (the declared
-    capability makes it a pure function of the frame size).
-    """
-    device = stage.device
-    ingress_stats = stage.ingress.stats
-    dev_stats = device.stats
-    gate_open = device.gate() if device.gate is not None else True
-    service = device.service_time(probe)
-    limit = device.backlog_limit
-    free = -1.0
-    pops: deque = deque()
-    times, t_send, sampled_a, flow_a = scratch.main
-    w = 0
-    for i in range(n):
-        arrive = times[i]
-        ingress_stats.rx_packets += 1
-        ingress_stats.rx_bytes += frame
-        dev_stats.received += 1
-        if not gate_open:
-            dev_stats.backlog_dropped += 1
-            continue
-        while pops and pops[0] <= arrive:
-            pops.popleft()
-        if len(pops) >= limit:
-            dev_stats.backlog_dropped += 1
-            continue
-        begin = arrive if arrive >= free else free
-        done = begin + service
-        pops.append(done)
-        free = done
-        dev_stats.forwarded += 1
-        times[w] = done
-        t_send[w] = t_send[i]
-        sampled_a[w] = sampled_a[i]
-        flow_a[w] = flow_a[i]
-        w += 1
-    if stage.learns_src and w and probe.src:
-        # The bridge learns src -> ingress the first time a frame
-        # reaches output_port; idempotent for a single-flow batch.
-        device._fdb[probe.src] = stage.ingress
-    return w
-
-
-def _pass_rss(stage: StageSpec, scratch: _Scratch, n: int,
-              probe: Packet, frame: int) -> int:
-    """One pass through a multi-core RSS device.
-
-    Frames are steered to ``flow % cores`` and serviced per-core FIFO;
-    completions are merged back into egress arrival order on
-    (completion, service start, arrival index): at equal completion
-    times the service that *started* earlier scheduled its finish
-    event earlier and therefore wins the event heap's sequence tie.
-    """
-    device = stage.device
-    cores = device.cores
-    ingress_stats = stage.ingress.stats
-    dev_stats = device.stats
-    gate_open = device.gate() if device.gate is not None else True
-    service = device.service_time(probe)
-    limit = device.backlog_limit
-    per_core_forwarded = device.per_core_forwarded
-    free = [-1.0] * cores
-    pops = [deque() for __ in range(cores)]
-    times, t_send, sampled_a, flow_a = scratch.main
-    out = []
-    for i in range(n):
-        arrive = times[i]
-        ingress_stats.rx_packets += 1
-        ingress_stats.rx_bytes += frame
-        dev_stats.received += 1
-        if not gate_open:
-            dev_stats.backlog_dropped += 1
-            continue
-        core = flow_a[i] % cores
-        cpops = pops[core]
-        while cpops and cpops[0] <= arrive:
-            cpops.popleft()
-        if len(cpops) >= limit:
-            dev_stats.backlog_dropped += 1
-            continue
-        begin = arrive if arrive >= free[core] else free[core]
-        done = begin + service
-        cpops.append(done)
-        free[core] = done
-        dev_stats.forwarded += 1
-        per_core_forwarded[core] += 1
-        out.append((done, begin, i))
-    out.sort()
-    if stage.learns_src and out and probe.src:
-        device._fdb[probe.src] = stage.ingress
-    times2, t_send2, sampled2, flow2 = scratch.alt
-    for w, (done, __, i) in enumerate(out):
-        _put(times2, w, done)
-        _put(t_send2, w, t_send[i])
-        _put(sampled2, w, sampled_a[i])
-        _put(flow2, w, flow_a[i])
-    scratch.swap()
-    return len(out)
-
-
-def _pass_asic(stage: StageSpec, scratch: _Scratch, n: int, frame: int) -> int:
-    """One pass through a match-action pipeline.
-
-    The compiler (and :func:`verify_dag`) only admit a switch whose
-    table steers our flow to a fixed egress distinct from the ingress,
-    so every frame of the batch matches and pays the constant pipeline
-    latency.
-    """
-    device = stage.device
-    ingress_stats = stage.ingress.stats
-    times = scratch.main[0]
-    for i in range(n):
-        ingress_stats.rx_packets += 1
-        ingress_stats.rx_bytes += frame
-        times[i] = times[i] + PIPELINE_LATENCY_S
-    device.matched += n
-    return n
+            size = min(_BLOCK, int((deadline - t) / gap) + 2)
+            T = list(accumulate(repeat(gap, size - 1), initial=t))
+            cut = bisect_left(T, deadline)
+            if cut < size:
+                del T[cut:]
+                t = deadline
+            else:
+                t = T[-1] + gap
+        replay.send_block(T, sent)
+        sent += len(T)
+        last_send = T[-1]
+    replay.flush()
+    replay.finish(moongen, sent, last_send)

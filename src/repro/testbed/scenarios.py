@@ -212,9 +212,11 @@ def _install_moongen_command(host: SimHost, sim: Simulator, moongen: MoonGen) ->
                 rate_pps=rate, frame_size=size, duration_s=duration,
                 interval_s=interval, flows=flows,
             )
+            until = sim.now + duration + 0.05
+            job.check_drained(until)
         except Exception as exc:  # noqa: BLE001 - report as command failure
             return 1, f"moongen: {exc}"
-        sim.run(until=sim.now + duration + 0.05)
+        sim.run(until=until)
         return 0, format_report(job).rstrip("\n")
 
     host.register_command("moongen", handler)

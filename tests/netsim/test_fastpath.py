@@ -292,7 +292,7 @@ class TestCompileEligibility:
 
     def test_spec_reuse_across_runs(self):
         # Consecutive runs on an unchanged topology reuse the compiled
-        # spec object (and therefore its preallocated replay arrays).
+        # spec object instead of a fresh compile.
         sim = Simulator()
         gen, __ = build_chain(sim)
         first = fastpath.acquire_dag(gen)

@@ -153,8 +153,8 @@ class TestRandomizedTopologies:
     )
     @settings(max_examples=10, deadline=None)
     def test_sweep_reuse_is_bit_identical(self, kinds, seed):
-        # Three consecutive runs on one world (the vectorized sweep
-        # path: spec + arrays reused) must equal three fresh-state
+        # Three consecutive runs on one world (the sweep path: the
+        # compiled spec is reused) must equal three fresh-state
         # event-path runs, frame for frame.
         legacy, __ = run_topology(
             False, kinds=kinds, rate_pps=400_000, frame_size=64,
