@@ -1,16 +1,17 @@
-"""Fleet-trace overhead on a distributed sweep — the < 5% budget.
+"""Pump-evidence overhead on a distributed sweep — the < 5% budget.
 
-The causal tracing plane rides every delivery: a dispatch → run →
-persist chain per run in ``fleet-trace.jsonl`` plus a wall-clock event
-per transport message in the evidence sidecar.  The bench times a
-thinned distributed sweep with the plane enabled (default) and
-disabled (``POS_FLEET_TRACE=0``), takes the best of three repetitions
-per configuration, and gates the ratio at 1.05.
+The fleet DAG costs nothing at run time (``pos trace`` derives it from
+``trace.jsonl``); what the tracing plane still writes is the pump's
+evidence: one ``dispatch.jsonl`` record, stamped with the transport
+clock, per dispatch, transport message, delivery and death.  The bench
+times a thinned distributed sweep with that evidence enabled (default)
+and disabled (``POS_DISPATCH_LOG=0``), takes the best of three
+repetitions per configuration, and gates the ratio at 1.05.
 
 Correctness rides along twice: the parsed throughput rows must be
-identical with tracing on and off (observation does not perturb the
-measurement), and the kill switch must actually kill — a disabled run
-leaves neither the trace nor the wall sidecar behind.
+identical with the evidence on and off (observation does not perturb
+the measurement), and the switch must actually switch — a disabled
+run leaves no ``dispatch.jsonl`` behind.
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ def _update_bench_json(section, payload):
 
 def _timed_sweep(root, tracing):
     os.environ["POS_NETSIM_BATCH"] = "1"
-    os.environ["POS_FLEET_TRACE"] = "1" if tracing else "0"
+    os.environ["POS_DISPATCH_LOG"] = "1" if tracing else "0"
     try:
         start = time.perf_counter()
         handle = run_case_study("pos", str(root), agents=AGENTS, **SWEEP)
         elapsed = time.perf_counter() - start
     finally:
         os.environ.pop("POS_NETSIM_BATCH", None)
-        os.environ.pop("POS_FLEET_TRACE", None)
+        os.environ.pop("POS_DISPATCH_LOG", None)
     assert handle.failed_runs == 0
     return elapsed, handle
 
@@ -83,15 +84,16 @@ def test_bench_trace_overhead(tmp_path_factory):
     rows = throughput_rows(load_experiment(off_handle.result_path))
     assert throughput_rows(load_experiment(on_handle.result_path)) == rows
 
-    # The kill switch actually kills: no trace, no wall sidecar.
-    for name in ("fleet-trace.jsonl", "fleet-trace-wall.jsonl"):
-        assert os.path.isfile(os.path.join(on_handle.result_path, name))
-        assert not os.path.isfile(os.path.join(off_handle.result_path, name))
+    # The switch actually switches: no pump evidence when off.
+    assert os.path.isfile(os.path.join(on_handle.result_path, "dispatch.jsonl"))
+    assert not os.path.isfile(
+        os.path.join(off_handle.result_path, "dispatch.jsonl")
+    )
 
     overhead = on_s / off_s
     runs = len(SWEEP["rates"]) * len(SWEEP["sizes"])
-    print(f"\n=== fleet-trace overhead: {AGENTS} agents ({runs} runs) ===")
-    print(f"tracing off: {off_s:6.3f} s   on: {on_s:6.3f} s   "
+    print(f"\n=== pump-evidence overhead: {AGENTS} agents ({runs} runs) ===")
+    print(f"evidence off: {off_s:6.3f} s   on: {on_s:6.3f} s   "
           f"ratio: {overhead:.3f}x   (best of {REPS})")
     _update_bench_json("overhead", {
         "sweep_runs": runs,
@@ -103,6 +105,6 @@ def test_bench_trace_overhead(tmp_path_factory):
         "gate": OVERHEAD_GATE,
     })
     assert overhead <= OVERHEAD_GATE, (
-        f"fleet tracing costs {(overhead - 1) * 100:.1f}% wall time on a "
+        f"pump evidence costs {(overhead - 1) * 100:.1f}% wall time on a "
         f"distributed sweep; budget is {(OVERHEAD_GATE - 1) * 100:.0f}%"
     )

@@ -41,7 +41,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.campaign.admission import AdmissionPlan, Placement, plan_admission
+from repro.campaign.admission import Placement, plan_admission
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.spec import CampaignSpec, load_campaign_file
 from repro.campaign import workload as _workload

@@ -163,9 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="critical-path profile of an execution from its stitched "
-             "fleet trace: phase breakdown, per-agent utilization, "
-             "slowest runs, cache savings",
+        help="critical-path profile of an execution: the fleet DAG "
+             "derived from trace.jsonl, pump timings from dispatch.jsonl; "
+             "phase breakdown, per-agent utilization, slowest runs, "
+             "cache savings",
     )
     trace.add_argument(
         "results",

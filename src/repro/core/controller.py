@@ -391,10 +391,6 @@ class Controller:
         exp_span = log.begin_span(
             "experiment", experiment=experiment.name, user=user, runs=total,
         )
-        # The stitched fleet trace spans the whole execution; its id is
-        # a pure function of the experiment identity so a resumed
-        # execution stitches into the same causal DAG.
-        log.fleet_begin(experiment.name, total)
         try:
             with log.span("phase.setup"):
                 with log.span("boot"):

@@ -37,7 +37,7 @@ import signal
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.scheduler import (
     WorkerEnv,
@@ -171,8 +171,8 @@ def _echo(
 
     Child of the controller envelope that caused it: same trace id,
     parented on the causing envelope's span.  ``None`` when the agent
-    has seen no traced envelope yet (registration) or when the fleet
-    trace is off — the context only ever *rides* the protocol.
+    has seen no traced envelope yet (registration) — the context only
+    ever *rides* the protocol.
     """
     if cause is None:
         return None

@@ -29,15 +29,14 @@ executor, in strict run-index order, and each run is a pure function of
 its index — so the merged artifact tree is byte-identical for any agent
 count, any placement, and any crash/re-dispatch schedule, including a
 crash + ``--resume`` of the controller itself.  The *evidence* of the
-distributed execution (who ran what, who died when) goes to the
-``dispatch.jsonl`` sidecar, which is deliberately outside that
-contract.
+distributed execution (who ran what, who died when, every pump
+instant on the transport clock) goes to the ``dispatch.jsonl`` sidecar,
+which is deliberately outside that contract.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
@@ -60,6 +59,7 @@ from repro.dist.transport import (
     PipeBus,
     resolve_agents_env,
 )
+from repro.telemetry.criticalpath import fleet_trace_id
 
 __all__ = [
     "AgentState",
@@ -290,19 +290,10 @@ class DistScheduler:
             buffer.drain()
             return
 
-        def evidence(event: str, **fields: Any) -> None:
-            sink = getattr(log, "dispatch_event", None)
-            if sink is not None:
-                sink(event, **fields)
-
         # The causal trace context stamped on every controller envelope
-        # (and echoed back by the agents); real transport-clock timings
-        # of the pump go to the fleet-trace-wall.jsonl sidecar.  Both
-        # duck-typed like evidence(): any telemetry-less log disables
-        # them wholesale.
-        fleet_context = getattr(log, "fleet_context", None)
-        trace_id = fleet_context() if fleet_context is not None else None
-        wall_sink = getattr(log, "fleet_wall_event", None)
+        # (and echoed back by the agents): the id of the fleet DAG that
+        # pos trace derives from trace.jsonl.
+        trace_id = fleet_trace_id(experiment.name, total)
 
         # Journal-backed dedupe: everything the (possibly crashed,
         # resumed) journal already promised — and every cache hit staged
@@ -320,15 +311,18 @@ class DistScheduler:
         controller_seq = 0
         bus = self._make_bus(experiment, on_error)
         last_progress = bus.now()
+        sink = getattr(log, "dispatch_event", None)
 
-        def wall(event: str, **fields: Any) -> None:
-            if wall_sink is not None:
-                wall_sink(event, t=bus.now(), trace=trace_id, **fields)
+        def evidence(event: str, **fields: Any) -> None:
+            """One dispatch.jsonl record, stamped with the transport
+            clock (duck-typed: a telemetry-less log records nothing)."""
+            if sink is not None:
+                sink(event, t=bus.now(), **fields)
 
         def send(agent_id: str, kind: str, payload: Any = None) -> None:
             nonlocal controller_seq
             controller_seq += 1
-            trace = None if trace_id is None else {
+            trace = {
                 "id": trace_id,
                 "parent": "root",
                 "span": f"env-{controller_seq}",
@@ -341,14 +335,12 @@ class DistScheduler:
             fields: Dict[str, Any] = {"kind": kind, "agent": agent_id}
             if kind == "dispatch":
                 fields["runs"] = [index for index, _ in payload["runs"]]
-            if trace is not None:
-                fields["span"] = trace["span"]
-            wall("send", **fields)
+            evidence("send", span=trace["span"], **fields)
 
         def note_delivered(before: int) -> None:
             """Stamp the instant each run cleared the reorder buffer."""
             for index in range(before, buffer.next_index):
-                wall("deliver", run=index)
+                evidence("deliver", run=index)
 
         def renew(state: AgentState) -> None:
             state.lease_expires = bus.now() + self.lease_ttl
@@ -418,10 +410,6 @@ class DistScheduler:
                 registered=was_registered, orphaned=orphaned,
                 failures=state.failures,
             )
-            wall(
-                "death", agent=state.agent_id, reason=reason,
-                orphaned=orphaned,
-            )
             if state.failures >= self.quarantine_threshold:
                 state.quarantined = True
                 evidence(
@@ -445,7 +433,7 @@ class DistScheduler:
             if state is None:
                 return
             if env.kind != "result":
-                wall("recv", kind=env.kind, agent=env.sender, ctx=env.trace)
+                evidence("recv", kind=env.kind, agent=env.sender, ctx=env.trace)
             if env.kind == "register":
                 generation = env.payload["generation"]
                 if state.quarantined or generation < state.generation:
@@ -474,10 +462,6 @@ class DistScheduler:
             elif env.kind == "result":
                 outcome = env.payload["outcome"]
                 index = outcome.index
-                wall(
-                    "recv", kind="result", agent=env.sender, run=index,
-                    wall_s=env.payload.get("wall_s"), ctx=env.trace,
-                )
                 if state.registered:
                     renew(state)
                 for other in states.values():
@@ -486,13 +470,13 @@ class DistScheduler:
                     evidence(
                         "duplicate-dropped", agent=state.agent_id, run=index,
                     )
-                    wall("duplicate", agent=env.sender, run=index)
                     return
                 delivered.add(index)
                 last_progress = bus.now()
                 evidence(
                     "result", agent=state.agent_id,
                     generation=env.payload.get("generation"), run=index,
+                    wall_s=env.payload.get("wall_s"), ctx=env.trace,
                 )
                 before = buffer.next_index
                 buffer.put(index, outcome)
@@ -542,9 +526,9 @@ class DistScheduler:
                     give(target, batch, reason="redispatch")
 
         try:
-            wall(
-                "begin", runs=len(pending), agents=agent_count,
-                transport=self.transport,
+            evidence(
+                "begin", pending=len(pending), agents=agent_count,
+                transport=self.transport, trace=trace_id,
             )
             for agent_id in sorted(states):
                 bus.spawn(agent_id, 0)
@@ -581,7 +565,6 @@ class DistScheduler:
                 delivered=len(delivered),
                 redispatched=sum(redispatches.values()),
             )
-            wall("complete", delivered=len(delivered))
         finally:
             for state in states.values():
                 if state.registered:

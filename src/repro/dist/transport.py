@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import ExperimentError
 from repro.faults.plan import FaultPlan
@@ -62,16 +62,17 @@ ENVELOPE_KINDS: Tuple[str, ...] = (
 class Envelope:
     """One message on the bus.  ``payload`` must be picklable.
 
-    ``trace`` is the causal trace context riding every envelope once
-    the controller has a live fleet trace: ``{"id": trace id,
-    "parent": span id of the envelope that caused this one,
-    "span": this envelope's own span id, "seq": sender-local causal
-    seq}``.  Agents echo the context of the dispatch they are working
-    on, so a result (or a late duplicate of one) can be stitched to
-    the exact dispatch — across re-dispatches and agent generations —
-    in the ``fleet-trace-wall.jsonl`` evidence.  ``None`` before the
-    first lease (an agent registering knows no trace yet) and when the
-    fleet trace is off; the protocol never requires it.
+    ``trace`` is the causal trace context riding every controller
+    envelope: ``{"id": the fleet trace id (see
+    :func:`repro.telemetry.criticalpath.fleet_trace_id`), "parent":
+    span id of the envelope that caused this one, "span": this
+    envelope's own span id, "seq": sender-local causal seq}``.  Agents
+    echo the context of the dispatch they are working on, so a result
+    (or a late duplicate of one) can be stitched to the exact dispatch
+    — across re-dispatches and agent generations — in the
+    ``dispatch.jsonl`` evidence.  ``None`` before the first lease (an
+    agent registering knows no trace yet); the protocol never requires
+    it.
     """
 
     kind: str

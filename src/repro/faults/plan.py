@@ -56,7 +56,7 @@ Plans load from YAML files (``--fault-plan`` on the CLI)::
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import FaultPlanError

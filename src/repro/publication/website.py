@@ -14,10 +14,10 @@ When the folder carries the telemetry artifacts (``journal.jsonl``,
 per-run ``telemetry.json``/``health.json``), a third page —
 ``dashboard.html`` — is generated as well: the per-run provenance
 table, experiment-wide metric summaries, a run-duration chart, the
-fleet-trace timeline with its critical-path bar (when the folder
-carries ``fleet-trace.jsonl``), and the per-node health/SEL timeline,
-all rendered self-contained (inline SVG, no scripts, no external
-assets) from the published artifacts alone.
+fleet timeline with its critical-path bar (the fleet DAG derived from
+``trace.jsonl``, pump timings from ``dispatch.jsonl``), and the
+per-node health/SEL timeline, all rendered self-contained (inline SVG,
+no scripts, no external assets) from the published artifacts alone.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ _STATE_COLORS = {
     "unmonitored": "#bdbdbd",
 }
 
-#: Phase colours for the fleet-trace critical-path bar and timeline.
+#: Phase colours for the fleet critical-path bar and timeline.
 _PHASE_COLORS = {
     "admission": "#8c564b",
     "dispatch": "#ff7f0e",
@@ -507,9 +507,9 @@ def generate_dashboard(
         if trace_svg:
             parts.append("<h2>Fleet timeline</h2>")
             parts.append(
-                "<p>Critical-path attribution and per-agent occupancy, "
-                "reconstructed from <code>fleet-trace.jsonl</code> and "
-                "the wall-clock evidence sidecar "
+                "<p>Critical-path attribution and per-agent occupancy: "
+                "the fleet DAG derived from <code>trace.jsonl</code>, "
+                "pump timings from <code>dispatch.jsonl</code> "
                 "(<code>pos trace</code> prints the same breakdown).</p>"
             )
             parts.append(trace_svg)

@@ -34,7 +34,7 @@ from repro.core.variables import expand_loop_variables
 from repro.study.design import replication_campaign, replication_dir
 from repro.study.evaluate import STUDY_JSON_NAME, evaluate_study
 from repro.study.journal import STUDY_JOURNAL_NAME
-from repro.study.spec import STUDY_SPEC_NAME, StudySpec, load_study_file
+from repro.study.spec import STUDY_SPEC_NAME, load_study_file
 
 __all__ = ["audit_study", "render_audit"]
 

@@ -1,19 +1,22 @@
-"""Critical-path profiling over the stitched fleet trace.
+"""Critical-path profiling over the causal fleet DAG.
 
 ``pos trace <dir>`` answers the question the flat evidence sidecars
 cannot: *where did the wall-clock go across the fleet*.  The input is
-the artifact pair the tracing plane leaves behind:
+the artifact pair an execution leaves behind:
 
-``fleet-trace.jsonl``
-    The deterministic causal skeleton — one dispatch → run → persist
-    chain per delivered run under one ``fleet.experiment`` root.
-``fleet-trace-wall.jsonl``
-    The quarantined real timings of the distributed pump: transport-
-    clock instants for every send, receive, delivery, death and
-    completion, plus per-run agent wall seconds riding the result
-    payloads.
+``trace.jsonl``
+    The deterministic span trace.  Its ``run`` and ``experiment`` spans
+    determine the causal skeleton — one dispatch → run → persist chain
+    per delivered run under one ``fleet.experiment`` root — which
+    :func:`load_fleet_trace` derives on read; no second trace file is
+    written.
+``dispatch.jsonl``
+    The quarantined evidence of the distributed pump: every record
+    carries a transport-clock instant ``t``, covering every send,
+    receive, result, delivery, death and completion, plus per-run
+    agent wall seconds riding the ``result`` records.
 
-With wall evidence present, the analyzer walks the delivery sequence
+With pump evidence present, the analyzer walks the delivery sequence
 and attributes **every instant** of the pump's lifetime
 ``[begin, complete]`` to exactly one phase — dispatch latency, run
 execution, reorder-buffer stall, persist/finalize — so the breakdown
@@ -23,9 +26,9 @@ delivered once (a) it arrived and (b) run ``k-1`` was delivered;
 whichever edge finished later was the critical one, and the time since
 the previous delivery is charged to that edge's phase.
 
-Without wall evidence (a serial execution traces causally but has no
-pump), the profile degrades to the virtual clock: run execution is the
-whole critical path.
+Without pump evidence (a serial execution has no pump), the profile
+degrades to the virtual clock: run execution is the whole critical
+path.
 
 Everything here is read-side only — plain functions over artifact
 files, no controller, no live state — like the rest of the telemetry
@@ -34,16 +37,20 @@ read plane (:mod:`repro.telemetry.report`, :mod:`repro.telemetry.live`).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import PosError
-from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
-from repro.telemetry.plane import CACHE_NAME, FLEET_TRACE_NAME, FLEET_WALL_NAME
+from repro.telemetry.jsonl import iter_jsonl, read_jsonl_or_none
+from repro.telemetry.plane import CACHE_NAME, DISPATCH_NAME, TRACE_NAME
+from repro.telemetry.report import cache_summary
 
 __all__ = [
     "TraceError",
-    "find_fleet_trace",
+    "fleet_trace_id",
+    "find_trace",
     "load_fleet_trace",
     "analyze",
     "analyze_campaign",
@@ -59,38 +66,95 @@ class TraceError(PosError):
     """The folder does not carry the artifacts a trace profile needs."""
 
 
-def find_fleet_trace(path: str) -> Optional[str]:
-    """Locate ``fleet-trace.jsonl`` at ``path`` or in any folder below."""
-    direct = os.path.join(path, FLEET_TRACE_NAME)
+#: The ``run`` span attrs a ``fleet.run`` record carries: the run's
+#: outcome only, never execution history (which agent, cache or not).
+_RUN_ATTRS = ("ok", "attempts", "recovered", "faults")
+
+
+def fleet_trace_id(experiment: str, runs: int) -> str:
+    """The trace id of an execution: a pure function of its identity,
+    so a resumed execution stitches into the same causal DAG."""
+    identity = json.dumps({"experiment": experiment, "runs": runs}, sort_keys=True)
+    return hashlib.sha256(identity.encode("utf-8")).hexdigest()[:16]
+
+
+def find_trace(path: str) -> Optional[str]:
+    """Locate ``trace.jsonl`` at ``path`` or in any folder below."""
+    direct = os.path.join(path, TRACE_NAME)
     if os.path.isfile(direct):
         return direct
-    candidates: List[str] = []
     for dirpath, dirnames, filenames in os.walk(path):
         dirnames.sort()
-        if FLEET_TRACE_NAME in filenames:
-            candidates.append(os.path.join(dirpath, FLEET_TRACE_NAME))
-    return candidates[0] if candidates else None
+        if TRACE_NAME in filenames:
+            return os.path.join(dirpath, TRACE_NAME)
+    return None
 
 
 def load_fleet_trace(trace_path: str) -> Dict[str, Any]:
-    """The stitched DAG as plain data: root, per-run chains, trace id."""
-    records = read_jsonl(trace_path)
+    """The causal fleet DAG derived from ``trace.jsonl``, as plain data.
+
+    The k-th ``run`` span whose attrs carry an ``index`` (file order is
+    merge order, i.e. run order for every executor) yields
+    ``r{i}.dispatch`` at causal tick ``2k``, ``r{i}.run`` on the run's
+    sim clock with its outcome attrs, and ``r{i}.persist`` at tick
+    ``2k+1``.  The ``experiment`` span yields the ``root`` record
+    (post-order, end tick ``2·count``), which keeps the span's
+    ``unfinished`` mark: an aborted or crashed execution reads as
+    unfinished.  Every record carries :func:`fleet_trace_id`.
+    """
+    identity = None
+    run_spans: List[dict] = []
+    for span in iter_jsonl(trace_path):
+        if span.get("name") == "run" and "index" in span.get("attrs", {}):
+            run_spans.append(span)
+        elif span.get("name") == "experiment" and identity is None:
+            identity = span.get("attrs", {})
+    trace = None if identity is None else fleet_trace_id(
+        identity.get("experiment"), identity.get("runs"),
+    )
+    records: List[dict] = []
+    runs: Dict[int, Dict[str, dict]] = {}
+
+    def emit(span, parent, name, start, end, clock, run, attrs) -> dict:
+        records.append({
+            "seq": len(records) + 1, "trace": trace, "span": span,
+            "parent": parent, "name": name, "start": start, "end": end,
+            "clock": clock, "run": run, "attrs": attrs,
+        })
+        return records[-1]
+
+    tick = 0.0
+    for span in run_spans:
+        attrs = span["attrs"]
+        index = int(attrs["index"])
+        chain = f"r{index}"
+        runs[index] = {
+            "dispatch": emit(f"{chain}.dispatch", "root", "fleet.dispatch",
+                             tick, tick, "causal", index, {}),
+            "run": emit(f"{chain}.run", f"{chain}.dispatch", "fleet.run",
+                        float(span["start"]), float(span["end"]), "sim",
+                        index, {key: attrs[key] for key in _RUN_ATTRS
+                                if key in attrs}),
+            "persist": emit(f"{chain}.persist", f"{chain}.run",
+                            "fleet.persist", tick + 1.0, tick + 1.0,
+                            "causal", index, {}),
+        }
+        tick += 2.0
+    root = None
+    if identity is not None:
+        attrs = {"experiment": identity.get("experiment"),
+                 "runs": identity.get("runs")}
+        if identity.get("unfinished"):
+            attrs["unfinished"] = True
+        root = emit("root", None, "fleet.experiment",
+                    0.0, tick, "causal", None, attrs)
     if not records:
         raise TraceError(
             f"{trace_path} carries no complete trace record "
             f"(crashed before the first delivery?)"
         )
-    by_span = {record["span"]: record for record in records}
-    root = by_span.get("root")
-    runs: Dict[int, Dict[str, dict]] = {}
-    for record in records:
-        index = record.get("run")
-        if index is None:
-            continue
-        stage = record["name"].rpartition(".")[2]  # dispatch | run | persist
-        runs.setdefault(int(index), {})[stage] = record
     return {
-        "trace": records[0].get("trace"),
+        "trace": trace,
         "experiment": (root or {}).get("attrs", {}).get("experiment"),
         "total_runs": (root or {}).get("attrs", {}).get("runs"),
         "root": root,
@@ -99,25 +163,11 @@ def load_fleet_trace(trace_path: str) -> Dict[str, Any]:
     }
 
 
-def _cache_profile(events: Optional[List[dict]]) -> Optional[Dict[str, Any]]:
-    if events is None:
-        return None
-    profile = {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
-    for event in events:
-        kind = event.get("event", "")
-        name = kind.rpartition(".")[2]
-        if kind.startswith("cache.") and name + "s" in ("hits", "misses", "stores"):
-            profile[name + "s"] += 1
-        elif kind == "cache.corrupt":
-            profile["corrupt"] += 1
-    return profile
-
-
 def _wall_profile(events: List[dict]) -> Dict[str, Any]:
     """Attribute the pump's whole lifetime to phases, exactly once each.
 
-    The sidecar is append-only across resumes, so one file may hold
-    several pump lifetimes (a crashed execution's segment followed by
+    ``dispatch.jsonl`` is append-only across resumes, so one file may
+    hold several pump lifetimes (a crashed execution's segment followed by
     the resume's).  Each segment has its own transport-clock origin;
     they are profiled independently and folded: phase seconds add,
     agent books merge, and the timeline is rebased onto one synthetic
@@ -222,7 +272,7 @@ def _segment_profile(events: List[dict]) -> Dict[str, Any]:
         if kind == "send" and event.get("kind") == "dispatch":
             for index in event.get("runs") or []:
                 dispatch_t.setdefault(int(index), event["t"])
-        elif kind == "recv" and event.get("kind") == "result":
+        elif kind == "result":
             index = int(event["run"])
             if index not in arrival_t:
                 arrival_t[index] = event["t"]
@@ -231,7 +281,7 @@ def _segment_profile(events: List[dict]) -> Dict[str, Any]:
                     wall_of[index] = float(event["wall_s"])
         elif kind == "deliver":
             deliver_t.setdefault(int(event["run"]), event["t"])
-        elif kind == "death":
+        elif kind == "agent-dead":
             deaths.append(event)
 
     phases = {name: 0.0 for name in PHASES}
@@ -363,32 +413,32 @@ def analyze(experiment_path: str, clock: str = "auto") -> Dict[str, Any]:
     """The full trace profile of one experiment folder, as plain data.
 
     ``clock`` selects the time base: ``"auto"`` prefers the quarantined
-    wall evidence when a pump left any; ``"sim"`` forces the virtual-
+    pump evidence in ``dispatch.jsonl`` when a pump left any; ``"sim"`` forces the virtual-
     clock profile, which is a pure function of the deterministic trace
     and therefore safe for byte-stable comparative reports
     (:mod:`repro.telemetry.diff`).
     """
     if clock not in ("auto", "sim"):
         raise TraceError(f"unknown trace clock {clock!r} (auto or sim)")
-    trace_path = find_fleet_trace(experiment_path)
+    trace_path = find_trace(experiment_path)
     if trace_path is None:
         raise TraceError(
-            f"no {FLEET_TRACE_NAME} under {experiment_path}; was the "
-            f"experiment run with telemetry on (POS_TELEMETRY, "
-            f"POS_FLEET_TRACE not 0)?"
+            f"no {TRACE_NAME} under {experiment_path}; was the "
+            f"experiment run with telemetry on (POS_TELEMETRY not 0)?"
         )
     dag = load_fleet_trace(trace_path)
     folder = os.path.dirname(trace_path)
-    wall_events = (
-        read_jsonl_or_none(os.path.join(folder, FLEET_WALL_NAME))
-        if clock == "auto" else None
-    )
-    if wall_events:
-        profile = _wall_profile(wall_events)
+    pump = []
+    if clock == "auto":
+        # Records without a transport instant predate the pump timings.
+        events = read_jsonl_or_none(os.path.join(folder, DISPATCH_NAME))
+        pump = [event for event in events or () if "t" in event]
+    if pump:
+        profile = _wall_profile(pump)
     else:
         profile = _sim_profile(dag["runs"])
 
-    cache = _cache_profile(
+    cache = cache_summary(
         read_jsonl_or_none(os.path.join(folder, CACHE_NAME))
     )
     if cache is not None:
@@ -449,9 +499,7 @@ def analyze_campaign(campaign_path: str) -> Dict[str, Any]:
             campaign_path, "experiments",
             str(entry.get("user")), str(entry.get("experiment")),
         )
-        trace_path = (
-            find_fleet_trace(base) if os.path.isdir(base) else None
-        )
+        trace_path = find_trace(base) if os.path.isdir(base) else None
         if trace_path is not None:
             profile = analyze(os.path.dirname(trace_path))
             row["profile"] = profile

@@ -39,7 +39,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.errors import PosError
 from repro.evaluation.tendencies import paired_effect
 from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
-from repro.telemetry.plane import CACHE_NAME, FLEET_TRACE_NAME
+from repro.telemetry.plane import CACHE_NAME, TRACE_NAME
+from repro.telemetry.report import cache_summary
 
 __all__ = ["DiffError", "load_side", "diff_experiments", "render_diff",
            "DIFF_NAME"]
@@ -116,19 +117,6 @@ def _health_summary(payload: Optional[dict]) -> Dict[str, Any]:
     }
 
 
-def _cache_summary(events: Optional[List[dict]]) -> Optional[Dict[str, int]]:
-    if events is None:
-        return None
-    summary = {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
-    for event in events:
-        name = event.get("event", "").rpartition(".")[2]
-        if name in ("hit", "miss", "store"):
-            summary[name + ("es" if name == "miss" else "s")] += 1
-        elif name == "corrupt":
-            summary["corrupt"] += 1
-    return summary
-
-
 def load_side(path: str) -> Dict[str, Any]:
     """Digest one experiment result tree into comparable plain data."""
     if not os.path.isdir(path):
@@ -191,7 +179,7 @@ def load_side(path: str) -> Dict[str, Any]:
             "skipped_runs": skipped,
         },
         "health": _health_summary(_read_json(os.path.join(path, "health.json"))),
-        "cache": _cache_summary(
+        "cache": cache_summary(
             read_jsonl_or_none(os.path.join(path, CACHE_NAME))
         ),
         "phases": phases,
@@ -202,7 +190,7 @@ def _sim_phases(path: str) -> Optional[Dict[str, float]]:
     """Deterministic (sim-clock) critical-path breakdown, or ``None``."""
     from repro.telemetry.criticalpath import TraceError, analyze
 
-    if not os.path.isfile(os.path.join(path, FLEET_TRACE_NAME)):
+    if not os.path.isfile(os.path.join(path, TRACE_NAME)):
         return None
     try:
         analysis = analyze(path, clock="sim")

@@ -13,7 +13,7 @@ artifact that evidences it.
 Determinism contract: the default report is byte-identical no matter
 which schedule (``--jobs``/``--agents``/crash + ``--resume``) produced
 the tree.  That holds because every finding derives either from the
-deterministic artifacts (journal, telemetry, health, fleet trace) or
+deterministic artifacts (journal, telemetry, health, trace) or
 from evidence events that only occur when something notable happened
 (deaths, quarantines, re-dispatches, cache corruption) — a clean run
 produces no evidence findings regardless of schedule, and the folded
@@ -29,6 +29,7 @@ from repro.core.errors import PosError
 from repro.evaluation.tendencies import median, robust_z
 from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
 from repro.telemetry.plane import CACHE_NAME, DISPATCH_NAME
+from repro.telemetry.report import cache_summary
 
 __all__ = ["DoctorError", "diagnose", "render_diagnosis", "DOCTOR_NAME"]
 
@@ -271,18 +272,15 @@ def diagnose(path: str) -> Dict[str, Any]:
             ))
 
     # -- cache evidence: corruption ---------------------------------------
-    cache_events = read_jsonl_or_none(os.path.join(path, CACHE_NAME))
-    if cache_events:
-        corrupt = sum(
-            1 for e in cache_events if e.get("event") == "cache.corrupt"
-        )
-        if corrupt:
-            findings.append(_finding(
-                "warning", "cache-corrupt",
-                f"{corrupt} cached artifact(s) failed fingerprint "
-                f"verification and were re-executed",
-                {"file": CACHE_NAME},
-            ))
+    cache = cache_summary(read_jsonl_or_none(os.path.join(path, CACHE_NAME)))
+    corrupt = cache["corrupt"] if cache else 0
+    if corrupt:
+        findings.append(_finding(
+            "warning", "cache-corrupt",
+            f"{corrupt} cached artifact(s) failed fingerprint "
+            f"verification and were re-executed",
+            {"file": CACHE_NAME},
+        ))
 
     # -- critical-path inflation (only for executions already in trouble,
     # so clean runs stay byte-identical across schedules) ----------------
@@ -305,7 +303,7 @@ def diagnose(path: str) -> Dict[str, Any]:
                     f"{share:.0%} of the critical path is not run "
                     f"execution (dispatch/reorder/persist overhead) — "
                     f"consistent with the observed fleet instability",
-                    {"file": "fleet-trace-wall.jsonl"},
+                    {"file": DISPATCH_NAME},
                 ))
 
     findings.sort(key=lambda f: (

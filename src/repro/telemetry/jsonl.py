@@ -1,8 +1,9 @@
 """One tolerant JSONL reader for every artifact tailer.
 
 Every flushed-line artifact in the toolchain — the run journal, the
-evidence sidecars (``dispatch.jsonl``, ``cache.jsonl``,
-``fleet-trace-wall.jsonl``) and the stitched fleet trace — is written
+span trace (``trace.jsonl``, from which the fleet DAG is derived) and
+the evidence sidecars (``dispatch.jsonl``, which also carries the
+pump's timings, and ``cache.jsonl``) — is written
 the same way: one JSON object per line, a single flushed ``write()``
 per record.  A reader may therefore observe at most *one* malformed
 line, and only at the very end of the file: the torn tail of a record
@@ -17,13 +18,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
-__all__ = ["read_jsonl", "read_jsonl_or_none"]
+__all__ = ["iter_jsonl", "read_jsonl", "read_jsonl_or_none"]
 
 
-def read_jsonl(path: str) -> List[dict]:
-    """All complete records of a JSONL artifact, dropping the torn tail.
+def iter_jsonl(path: str) -> Iterator[dict]:
+    """Yield the complete records of a JSONL artifact, dropping the torn tail.
 
     Blank lines are skipped; reading stops at the first line that does
     not decode (the torn tail of a crashed or in-flight writer) or that
@@ -31,7 +32,6 @@ def read_jsonl(path: str) -> List[dict]:
     be opened — callers that treat a missing file as "no evidence"
     should use :func:`read_jsonl_or_none`.
     """
-    records: List[dict] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
@@ -40,11 +40,15 @@ def read_jsonl(path: str) -> List[dict]:
             try:
                 record = json.loads(line)
             except ValueError:
-                break  # torn tail of a crashed or in-flight writer
+                return  # torn tail of a crashed or in-flight writer
             if not isinstance(record, dict):
-                break
-            records.append(record)
-    return records
+                return
+            yield record
+
+
+def read_jsonl(path: str) -> List[dict]:
+    """All complete records of a JSONL artifact (see :func:`iter_jsonl`)."""
+    return list(iter_jsonl(path))
 
 
 def read_jsonl_or_none(path: str) -> Optional[List[dict]]:

@@ -28,31 +28,23 @@ Owns every telemetry artifact of one experiment execution:
 ``dispatch.jsonl``
     Evidence sidecar of the distributed execution plane (``--agents``):
     agent spawns, registrations, leases, dispatches, deaths,
-    re-dispatches, quarantines.  Deliberately quarantined from the
-    determinism contract — which agent ran which run and how often it
-    crashed depends on the placement and the crash schedule, while the
-    merged artifacts must not — so determinism comparisons exclude it
-    (``diff -r -x dispatch.jsonl``) or disable it (``POS_DISPATCH_LOG=0``).
-    A resumed execution appends: crash evidence is never destroyed.
-``fleet-trace.jsonl``
-    The stitched causal DAG of the whole execution: one
-    dispatch → run → persist span chain per delivered run, parented
-    under a single ``fleet.experiment`` root, every record stamped with
-    the execution's trace id.  Causal spans live on a monotone causal
-    tick clock, run spans on the netsim virtual clock; records are
-    emitted through the reorder-buffer delivery pipeline in strict run
-    order, so the finished trace — like ``trace.jsonl`` — is a pure
-    function of the run set: rewritten on resume and byte-identical for
-    any ``--jobs``/``--agents``/transport/crash schedule.  Disabled
-    wholesale with ``POS_FLEET_TRACE=0``.
-``fleet-trace-wall.jsonl``
-    Evidence sidecar quarantining the *real* timings of the distributed
-    pump (transport-clock send/recv/deliver/death instants, per-run
-    agent wall seconds), following the ``trace-wall.jsonl`` precedent:
-    wall time never enters a deterministic artifact.  Shares the
-    evidence gate of the other sidecars (``POS_DISPATCH_LOG=0``
-    silences every sidecar at once) and is excluded from determinism
-    comparisons exactly like ``dispatch.jsonl``.
+    re-dispatches, quarantines, plus the pump's own transport-clock
+    instants (``begin``, every ``send``/``recv``, each ``deliver``,
+    ``complete``).  Every record carries the transport-clock ``t``;
+    ``pos trace`` attributes the pump's lifetime from them.
+    Deliberately quarantined from the determinism contract — which
+    agent ran which run and how often it crashed depends on the
+    placement and the crash schedule, while the merged artifacts must
+    not — so determinism comparisons exclude it (``diff -r -x
+    dispatch.jsonl``) or disable it (``POS_DISPATCH_LOG=0``).  A resumed
+    execution appends: crash evidence is never destroyed.
+``cache.jsonl``
+    The run cache's hit/miss/store/corrupt evidence, under the same
+    quarantine and gate as ``dispatch.jsonl``.
+
+The causal fleet DAG (one dispatch → run → persist chain per run) is
+not a file of its own: :func:`repro.telemetry.criticalpath.load_fleet_trace`
+derives it from the ``run`` and ``experiment`` spans of ``trace.jsonl``.
 
 Every record is flushed as written; phase boundaries additionally fsync
 both the legacy log and the trace, matching the journal's durability —
@@ -62,7 +54,6 @@ already promised.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -81,13 +72,10 @@ __all__ = [
     "WALL_SIDECAR_NAME",
     "DISPATCH_NAME",
     "CACHE_NAME",
-    "FLEET_TRACE_NAME",
-    "FLEET_WALL_NAME",
     "EVIDENCE_SIDECARS",
     "enabled",
     "wallclock_enabled",
     "dispatch_enabled",
-    "fleet_enabled",
 ]
 
 TRACE_NAME = "trace.jsonl"
@@ -96,12 +84,10 @@ WALL_SIDECAR_NAME = "trace-wall.jsonl"
 RUN_TELEMETRY_NAME = "telemetry.json"
 DISPATCH_NAME = "dispatch.jsonl"
 CACHE_NAME = "cache.jsonl"
-FLEET_TRACE_NAME = "fleet-trace.jsonl"
-FLEET_WALL_NAME = "fleet-trace-wall.jsonl"
 
 #: Every evidence sidecar quarantined from the byte-identity contract;
 #: determinism comparisons between executions exclude exactly these.
-EVIDENCE_SIDECARS = (DISPATCH_NAME, CACHE_NAME, FLEET_WALL_NAME)
+EVIDENCE_SIDECARS = (DISPATCH_NAME, CACHE_NAME)
 
 _LEGACY_LINE = re.compile(r"^\[(\d+)\] ")
 
@@ -117,10 +103,6 @@ wallclock_enabled = EnvSwitch("POS_TELEMETRY_WALLCLOCK", default="0", mode="one"
 #: Whether the ``dispatch.jsonl`` evidence sidecar is written
 #: (``POS_DISPATCH_LOG`` != 0; on by default).
 dispatch_enabled = EnvSwitch("POS_DISPATCH_LOG")
-
-#: Whether the causal fleet trace (``fleet-trace.jsonl`` and its wall
-#: sidecar) is written (``POS_FLEET_TRACE`` != 0; on by default).
-fleet_enabled = EnvSwitch("POS_FLEET_TRACE")
 
 
 class _WorkflowLog:
@@ -190,17 +172,6 @@ class ExperimentTelemetry:
         self._cache_log = None
         self._cache_append = resumed
         self._cache_seq = 0
-        self._fleet_on = self.enabled and fleet_enabled()
-        self._fleet = None
-        self._fleet_id: Optional[str] = None
-        self._fleet_name: Optional[str] = None
-        self._fleet_total = 0
-        self._fleet_seq = 0
-        self._fleet_tick = 0
-        self._fleet_root_written = False
-        self._fleet_wall = None
-        self._fleet_wall_append = resumed
-        self._fleet_wall_seq = 0
         self._clock = LogicalClock()
         self._seq = 0
         self._stack: List[Span] = []
@@ -278,151 +249,6 @@ class ExperimentTelemetry:
         self._cache_log.write(json.dumps(record, sort_keys=True) + "\n")
         self._cache_log.flush()
 
-    # -- causal fleet trace ---------------------------------------------------
-
-    def fleet_begin(self, experiment: str, total_runs: int) -> Optional[str]:
-        """Open the stitched causal fleet trace for this execution.
-
-        The trace id is a pure function of the experiment identity (so
-        a resumed execution carries the same id as the crashed one),
-        and the file is rewritten — not appended — on resume: per-run
-        span chains are emitted through the reorder-buffer delivery
-        pipeline in strict run order, so the finished DAG is a pure
-        function of the run set and stays byte-identical across any
-        executor and crash schedule.  Returns the trace id, or None
-        when the plane is off.
-        """
-        if not self._fleet_on:
-            return None
-        identity = json.dumps(
-            {"experiment": experiment, "runs": total_runs}, sort_keys=True
-        )
-        self._fleet_id = hashlib.sha256(
-            identity.encode("utf-8")
-        ).hexdigest()[:16]
-        self._fleet_name = experiment
-        self._fleet_total = total_runs
-        self._fleet = open(
-            os.path.join(self.path, FLEET_TRACE_NAME), "w", encoding="utf-8"
-        )
-        return self._fleet_id
-
-    def fleet_context(self) -> Optional[str]:
-        """The live trace id — what the dist plane stamps on Envelopes."""
-        return self._fleet_id
-
-    def fleet_wall_event(self, event: str, **fields: Any) -> None:
-        """Append one record to the ``fleet-trace-wall.jsonl`` sidecar.
-
-        Real transport-clock instants and agent wall seconds of the
-        distributed pump, quarantined from the deterministic fleet
-        trace exactly as ``trace-wall.jsonl`` quarantines profile wall
-        time.  Shares the evidence gate of the other sidecars — with
-        ``POS_DISPATCH_LOG=0`` an execution leaves *no* sidecar at all —
-        and dies with the whole plane under ``POS_FLEET_TRACE=0``.
-        """
-        if not (self._fleet_on and dispatch_enabled()):
-            return
-        if self._fleet_wall is None:
-            self._fleet_wall = open(
-                os.path.join(self.path, FLEET_WALL_NAME),
-                "a" if self._fleet_wall_append else "w",
-                encoding="utf-8",
-            )
-        self._fleet_wall_seq += 1
-        record = {"seq": self._fleet_wall_seq, "event": event}
-        record.update(fields)
-        self._fleet_wall.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fleet_wall.flush()
-
-    def _fleet_write(
-        self,
-        span: str,
-        parent: Optional[str],
-        name: str,
-        start: float,
-        end: float,
-        clock: str,
-        run: Optional[int],
-        attrs: Dict[str, Any],
-    ) -> None:
-        self._fleet_seq += 1
-        record = {
-            "seq": self._fleet_seq,
-            "trace": self._fleet_id,
-            "span": span,
-            "parent": parent,
-            "name": name,
-            "start": start,
-            "end": end,
-            "clock": clock,
-            "run": run,
-            "attrs": attrs,
-        }
-        self._fleet.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fleet.flush()
-
-    def _fleet_run(self, index: int, spans: List[dict]) -> None:
-        """Emit one run's dispatch → run → persist chain, in run order.
-
-        Called from the merge/adopt path — i.e. at reorder-buffer
-        delivery time, which every executor reaches in strict run-index
-        order — so the causal ticks are a pure function of the run
-        index.  Attrs carry only run-set-pure facts (outcome of the
-        run), never execution history like which agent ran it or
-        whether the cache served it: that detail lives in the
-        sidecars.
-        """
-        if self._fleet is None:
-            return
-        root = next(
-            (
-                span for span in spans
-                if span.get("name") == "run" and span.get("parent") is None
-            ),
-            None,
-        )
-        attrs: Dict[str, Any] = {}
-        if root is not None:
-            source = root.get("attrs", {})
-            attrs = {
-                key: source[key]
-                for key in ("ok", "attempts", "recovered", "faults")
-                if key in source
-            }
-        tick = float(self._fleet_tick)
-        self._fleet_tick += 2
-        self._fleet_write(
-            f"r{index}.dispatch", "root", "fleet.dispatch",
-            tick, tick, "causal", index, {},
-        )
-        self._fleet_write(
-            f"r{index}.run", f"r{index}.dispatch", "fleet.run",
-            float(root.get("start", 0.0)) if root else 0.0,
-            float(root.get("end", 0.0)) if root else 0.0,
-            "sim", index, attrs,
-        )
-        self._fleet_write(
-            f"r{index}.persist", f"r{index}.run", "fleet.persist",
-            tick + 1.0, tick + 1.0, "causal", index, {},
-        )
-
-    def _fleet_root(self, extra: Optional[Dict[str, Any]] = None) -> None:
-        """Write the ``fleet.experiment`` root, post-order (children first)."""
-        if self._fleet is None or self._fleet_root_written:
-            return
-        attrs: Dict[str, Any] = {
-            "experiment": self._fleet_name,
-            "runs": self._fleet_total,
-        }
-        if extra:
-            attrs.update(extra)
-        self._fleet_write(
-            "root", None, "fleet.experiment",
-            0.0, float(self._fleet_tick), "causal", None, attrs,
-        )
-        self._fleet_root_written = True
-
     # -- workflow spans ------------------------------------------------------
 
     def begin_span(self, name: str, **attrs: Any) -> Span:
@@ -481,7 +307,6 @@ class ExperimentTelemetry:
                 handle.write(json.dumps(snapshot, sort_keys=True, indent=2))
                 handle.write("\n")
         self._merge_buffer(payload)
-        self._fleet_run(index, payload.get("spans", []))
 
     def adopt_run(self, index: int, run_dir_path: str) -> None:
         """Replay an adopted (journalled, resumed) run's buffer from disk.
@@ -502,7 +327,6 @@ class ExperimentTelemetry:
             {"spans": snapshot.get("spans", []),
              "metrics": snapshot.get("metrics", {})}
         )
-        self._fleet_run(index, snapshot.get("spans", []))
 
     def _merge_buffer(self, payload: dict) -> None:
         spans = payload.get("spans", [])
@@ -568,7 +392,6 @@ class ExperimentTelemetry:
         ) as handle:
             handle.write(json.dumps(payload, sort_keys=True, indent=2))
             handle.write("\n")
-        self._fleet_root()
 
     # -- durability ----------------------------------------------------------
 
@@ -579,10 +402,6 @@ class ExperimentTelemetry:
             self._trace.flush()
             if fsync:
                 os.fsync(self._trace.fileno())
-        if self._fleet is not None:
-            self._fleet.flush()
-            if fsync:
-                os.fsync(self._fleet.fileno())
 
     def close(self) -> None:
         """Close all handles; dangling spans are recorded as evidence."""
@@ -597,15 +416,6 @@ class ExperimentTelemetry:
         if self._wall is not None:
             self._wall.close()
             self._wall = None
-        if self._fleet is not None:
-            # A crash closes the trace with an unfinished root — crash
-            # evidence in the torn file; resume rewrites it whole.
-            self._fleet_root({"unfinished": True})
-            self._fleet.close()
-            self._fleet = None
-        if self._fleet_wall is not None:
-            self._fleet_wall.close()
-            self._fleet_wall = None
         if self._dispatch is not None:
             self._dispatch.close()
             self._dispatch = None

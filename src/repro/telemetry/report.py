@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional
 from repro.core.errors import PosError
 from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
 
-__all__ = ["load_report", "render_report"]
+__all__ = ["cache_summary", "load_report", "render_report"]
 
 
 class ReportError(PosError):
@@ -53,13 +53,24 @@ def _read_cache_events(experiment_path: str) -> Optional[List[dict]]:
     return read_jsonl_or_none(os.path.join(experiment_path, "cache.jsonl"))
 
 
-def _cache_summary(events: Optional[List[dict]]) -> Optional[Dict[str, Any]]:
+def cache_summary(events: Optional[List[dict]]) -> Optional[Dict[str, Any]]:
+    """Fold ``cache.jsonl`` records: each run's latest probe and store.
+
+    The one reading of the cache evidence shared by ``pos report``,
+    ``pos diff``, ``pos trace`` and ``pos doctor``.  ``corrupt`` counts
+    the artifacts that failed fingerprint verification (their records
+    name a key, not a run).  ``None`` when no cache was active.
+    """
     if events is None:
         return None
     runs: Dict[int, Dict[str, Any]] = {}
+    corrupt = 0
     for event in events:
         kind = event.get("event")
         run = event.get("run")
+        if kind == "cache.corrupt":
+            corrupt += 1
+            continue
         if run is None or kind not in ("cache.hit", "cache.miss", "cache.store"):
             continue
         entry = runs.setdefault(int(run), {})
@@ -74,6 +85,7 @@ def _cache_summary(events: Optional[List[dict]]) -> Optional[Dict[str, Any]]:
             1 for e in runs.values() if e.get("event") == "cache.miss"
         ),
         "stores": sum(1 for e in runs.values() if e.get("stored")),
+        "corrupt": corrupt,
         "runs": runs,
     }
 
@@ -165,7 +177,7 @@ def load_report(experiment_path: str) -> Dict[str, Any]:
         "telemetry": _read_json(
             os.path.join(experiment_path, "telemetry.json")
         ),
-        "cache": _cache_summary(_read_cache_events(experiment_path)),
+        "cache": cache_summary(_read_cache_events(experiment_path)),
     }
 
 

@@ -114,7 +114,6 @@ def validate_experiment(experiment_path: str) -> List[str]:
     """
     validated: List[str] = []
     trace_schema = _load_schema("trace.schema.json")
-    fleet_schema = _load_schema("fleet-trace.schema.json")
     telemetry_schema = _load_schema("telemetry.schema.json")
     run_schema = _load_schema("run-telemetry.schema.json")
     health_schema = _load_schema("health.schema.json")
@@ -122,14 +121,9 @@ def validate_experiment(experiment_path: str) -> List[str]:
     dispatch_schema = _load_schema("dispatch.schema.json")
     cache_schema = _load_schema("cache.schema.json")
 
-    # Deterministic artifacts are strict: every line must parse.
-    for trace_name, schema in (
-        ("trace.jsonl", trace_schema),
-        ("fleet-trace.jsonl", fleet_schema),
-    ):
-        trace_path = os.path.join(experiment_path, trace_name)
-        if not os.path.isfile(trace_path):
-            continue
+    # The deterministic trace is strict: every line must parse.
+    trace_path = os.path.join(experiment_path, "trace.jsonl")
+    if os.path.isfile(trace_path):
         with open(trace_path, "r", encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
                 try:
@@ -139,7 +133,7 @@ def validate_experiment(experiment_path: str) -> List[str]:
                         f"{trace_path}:{number}: not valid JSON: {exc}"
                     ) from exc
                 try:
-                    validate(record, schema)
+                    validate(record, trace_schema)
                 except SchemaError as exc:
                     raise SchemaError(f"{trace_path}:{number}: {exc}") from exc
         validated.append(trace_path)

@@ -22,6 +22,9 @@ from repro.cache import CODE_EPOCH, RunCache
 from repro.casestudy import run_case_study
 from repro.cli.main import main as cli_main
 from repro.core.scheduler import AttemptResult, RunOutcome
+from repro.telemetry.criticalpath import analyze
+from repro.telemetry.diff import load_side
+from repro.telemetry.report import load_report
 
 CLOCK = lambda: 1_600_000_000.0  # noqa: E731 - fixed clock => fixed tree paths
 
@@ -409,6 +412,16 @@ class TestSurfaces:
         assert cli_main(["report", "--results", cold_dir]) == 0
         out = capsys.readouterr().out
         assert "4 miss(es)" in out and "4 store(s)" in out
+
+    def test_every_reader_counts_cold_misses(self, tmp_path, monkeypatch):
+        # pos trace, pos report and pos diff fold cache.jsonl the same
+        # way: a cold sweep is one miss and one store per run.
+        monkeypatch.setenv("POS_RUN_CACHE_DIR", str(tmp_path / "cache"))
+        run_case_study("pos", str(tmp_path / "cold"), **SWEEP)
+        cold_dir = find_result_dir(str(tmp_path / "cold"))
+        cache = analyze(cold_dir)["cache"]
+        assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 4, 4)
+        assert load_report(cold_dir)["cache"] == load_side(cold_dir)["cache"]
 
     def test_cache_sidecar_identical_under_jobs_and_agents(
         self, tmp_path, capsys, monkeypatch,

@@ -424,10 +424,11 @@ class TestReport:
 class TestSchemas:
     def test_all_artifacts_validate(self, result_dir):
         validated = validate_experiment(result_dir)
-        # traces + aggregate telemetry/health + per-run telemetry/health
-        assert len(validated) == 12
+        # trace + aggregate telemetry/health + per-run telemetry/health
+        # (the fleet DAG is derived from trace.jsonl, not a file)
+        assert len(validated) == 11
         assert any(path.endswith("/trace.jsonl") for path in validated)
-        assert any(path.endswith("fleet-trace.jsonl") for path in validated)
+        assert not any("fleet-trace" in path for path in validated)
         assert any(path.endswith("health.json") for path in validated)
 
     def test_trace_violation_detected(self, tmp_path):

@@ -19,8 +19,8 @@ from repro.cli.main import main as cli_main
 from repro.telemetry.criticalpath import TraceError, analyze
 
 
-def fleet_trace(tmp_path, records):
-    path = tmp_path / "fleet-trace.jsonl"
+def span_trace(tmp_path, records):
+    path = tmp_path / "trace.jsonl"
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record) + "\n")
@@ -28,8 +28,9 @@ def fleet_trace(tmp_path, records):
 
 
 ROOT_ONLY = [{
-    "trace": "t0", "span": "root", "name": "fleet.experiment",
-    "attrs": {"experiment": "x", "runs": 4},
+    "seq": 0, "parent": None, "name": "experiment", "start": 1.0,
+    "end": 9.0, "clock": "ticks",
+    "attrs": {"experiment": "x", "runs": 4, "unfinished": True},
 }]
 
 
@@ -37,20 +38,20 @@ class TestExperimentShapes:
     def test_telemetry_disabled_folder_is_one_error(self, tmp_path, capsys):
         assert cli_main(["trace", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("pos: error: no fleet-trace.jsonl")
+        assert err.startswith("pos: error: no trace.jsonl")
         assert "Traceback" not in err
 
     def test_empty_trace_is_one_error(self, tmp_path, capsys):
-        folder = fleet_trace(tmp_path, [])
+        folder = span_trace(tmp_path, [])
         assert cli_main(["trace", folder]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pos: error:")
         assert "no complete trace record" in err
 
     def test_zero_delivered_runs_render_cleanly(self, tmp_path, capsys):
-        # A root span exists but no run was ever delivered (killed
+        # An experiment span exists but no run was ever delivered (killed
         # before the first result): a zero-valued profile, not a crash.
-        folder = fleet_trace(tmp_path, ROOT_ONLY)
+        folder = span_trace(tmp_path, ROOT_ONLY)
         assert cli_main(["trace", folder]) == 0
         out = capsys.readouterr().out
         assert "0/4 runs traced" in out
@@ -58,8 +59,20 @@ class TestExperimentShapes:
         assert analysis["total"] == 0.0
         assert all(value == 0.0 for value in analysis["phases"].values())
 
+    def test_dispatch_log_without_pump_timings_profiles_on_sim(self, tmp_path):
+        # A dispatch.jsonl whose records carry no transport instant `t`
+        # (written before the pump timings moved into it) holds no pump
+        # lifetime to attribute: the profile falls back to the sim clock.
+        folder = span_trace(tmp_path, ROOT_ONLY)
+        with open(tmp_path / "dispatch.jsonl", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({
+                "seq": 1, "event": "agent-spawn", "agent": "agent-00",
+                "generation": 0,
+            }) + "\n")
+        assert analyze(folder)["clock"] == "sim"
+
     def test_sim_clock_can_be_forced(self, tmp_path):
-        folder = fleet_trace(tmp_path, ROOT_ONLY)
+        folder = span_trace(tmp_path, ROOT_ONLY)
         assert analyze(folder, clock="sim")["clock"] == "sim"
         with pytest.raises(TraceError, match="unknown trace clock"):
             analyze(folder, clock="wall")
