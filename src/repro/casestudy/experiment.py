@@ -444,9 +444,11 @@ def run_case_study(
     instead of starting a fresh result folder.
 
     ``jobs`` (default: the ``POS_JOBS`` environment variable, else 1)
-    shards the measurement cross product over that many worker
-    processes, each owning an isolated testbed world; the result tree
-    is byte-identical to a sequential execution.
+    runs the measurement cross product as per-run tasks on warm
+    per-worker worlds: that many worker processes, each owning an
+    isolated testbed world set up once, execute one run per task and
+    stream each outcome back as it ends; the result tree is
+    byte-identical to a sequential execution.
 
     ``agents`` (default: the ``POS_AGENTS`` environment variable, else
     0 = off) instead fans the runs out to that many node-agent daemons

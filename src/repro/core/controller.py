@@ -30,8 +30,8 @@ Resilience plumbing on top of the policies:
   seeded fault plan strikes by run index.
 
 The measurement loop can also run *in parallel*: ``run(jobs=N)`` (or
-``POS_JOBS=N``) shards the cross product over worker processes that
-each own a fully isolated testbed world (see
+``POS_JOBS=N``) streams the cross product run by run to worker
+processes that each own a fully isolated testbed world (see
 :mod:`repro.core.scheduler`), while the parent merges results into the
 canonical artifact tree in deterministic cross-product order — the
 artifacts of a parallel execution are byte-identical to a sequential
@@ -180,8 +180,8 @@ class Controller:
         each measurement run with that run's result folder.
 
         ``jobs`` (default: the ``POS_JOBS`` environment variable, else 1)
-        shards the measurement cross product over that many worker
-        processes; ``worker_env`` must then supply the recipe for
+        streams the measurement runs to that many worker processes,
+        one run per task; ``worker_env`` must then supply the recipe for
         building each worker's isolated testbed world.  Artifacts are
         byte-identical for any job count.
 

@@ -6,17 +6,16 @@ the loop-variable cross product of the case study — are embarrassingly
 parallel *if* each run is independent of execution history.  This
 module makes that independence real and exploits it:
 
-* the expanded cross product is sharded round-robin into
-  **node-disjoint** shards: every worker process builds its *own*
-  isolated testbed world from a factory, so no two shards ever share a
-  node, a simulator, or any mutable state;
-* each worker replays the full workflow for its shard — boot, tool
-  deployment, setup (with barrier), then its runs in ascending index
-  order — and returns in-memory :class:`RunOutcome` payloads;
+* the expanded cross product runs as **per-run tasks on warm
+  per-worker worlds**: every worker process builds its *own* isolated
+  testbed world from a factory once (boot, tools, setup with barrier),
+  so no two workers ever share a node, a simulator, or any state;
+* tasks carry one run index each, handed out in ascending order, and
+  return an in-memory :class:`RunOutcome` as soon as the run ends;
 * the parent merges outcomes into the canonical ``run-NNN`` tree **in
   deterministic cross-product order** and appends journal entries in
-  completion-safe order: run *k* is persisted and journalled only after
-  every run below *k*, so a crash leaves a journal prefix that
+  completion-safe order: run *k* is persisted and journalled as soon
+  as every run below *k* is, so a crash leaves a journal prefix that
   :meth:`Controller.resume` understands, identical to the sequential
   controller's.
 
@@ -200,7 +199,7 @@ def validate_parallel_fault_plan(plan) -> None:
     to explicit run indices, deterministic (probability 1), with a
     budget that never truncates the pinned set.  Wildcard or
     probabilistic specs consume shared state in sequential-history
-    order and cannot be replayed shard-locally.
+    order and cannot be replayed worker-locally.
     """
     for position, spec in enumerate(getattr(plan, "specs", [])):
         if spec.runs is None:
@@ -513,8 +512,8 @@ def execute_run(
     the run index alone, which is what makes outcomes identical under
     any job count.  The telemetry collector is activated strictly
     *after* isolation: the epoch fast-forward drains the previous run's
-    leftover events, which depend on execution history and sharding, so
-    its engine activity must never enter this run's buffer.
+    leftover events, which depend on execution history, so its engine
+    activity must never enter this run's buffer.
     """
     if isolation is not None:
         isolation(index)
@@ -640,21 +639,10 @@ def persist_outcome(
 # worker side
 # --------------------------------------------------------------------------
 
-def _shard_worker(
-    worker_env: WorkerEnv,
-    experiment: Experiment,
-    indices: List[int],
-    instances: List[Dict[str, Any]],
-    on_error: str,
-    recovery_policy: RetryPolicy,
-) -> List[RunOutcome]:
-    """Execute one shard in an isolated world: full pipeline, no disk.
-
-    Runs in a worker process.  Builds a private testbed world, replays
-    boot → tools → setup (with barrier), then executes the shard's runs
-    in ascending index order.  Results travel back as picklable
-    :class:`RunOutcome` payloads; the parent does all persistence.
-    """
+def _warm_world(worker_env, experiment, on_error, recovery_policy):
+    """Build a private world, replay boot → tools → setup (with
+    barrier) on it, and return its ``(index, instance) -> RunOutcome``
+    executor.  Runs never touch the disk; the parent persists them."""
     world = worker_env.factory(**worker_env.kwargs)
     node_of = world.nodes.__getitem__
     store = SharedStore()
@@ -664,22 +652,34 @@ def _shard_worker(
     run_setup_phase(experiment, node_of, store, extra)
     store.check_barriers(set(experiment.role_names))
     store.reset_barriers()
-    setup = extra.get("setup")
-    isolation = getattr(setup, "begin_run", None)
-    injector = world.fault_injector
-    clock = SimClock()
-    outcomes = []
-    for index, instance in zip(indices, instances):
-        outcomes.append(
-            execute_run(
-                experiment, node_of, store, extra, index, instance,
-                on_error, recovery_policy, clock, injector, isolation,
-            )
-        )
-    hypervisor = getattr(setup, "hypervisor", None)
-    if hypervisor is not None:
-        hypervisor.stop()
-    return outcomes
+    clock, injector = SimClock(), world.fault_injector
+    isolation = getattr(extra.get("setup"), "begin_run", None)
+    return lambda index, instance: execute_run(
+        experiment, node_of, store, extra, index, instance, on_error,
+        recovery_policy, clock, injector, isolation,
+    )
+
+
+#: This worker's recipe (from the pool initializer) and its executor,
+#: built by its first task: one pool per pass, one world per worker.
+_recipe: Tuple = ()
+_world: Optional[Callable[..., RunOutcome]] = None
+
+
+def _init_worker(*recipe) -> None:
+    """Pool initializer: store the recipe only.  A world built here
+    would turn a setup failure into a broken pool (retried as a dead
+    worker) instead of failing a task with the setup's own error."""
+    global _recipe, _world
+    _recipe, _world = recipe, None
+
+
+def _run_task(index: int, instance: Dict[str, Any]) -> RunOutcome:
+    """Execute one run on this worker's warm world (building it first)."""
+    global _world
+    if _world is None:
+        _world = _warm_world(*_recipe)
+    return _world(index, instance)
 
 
 # --------------------------------------------------------------------------
@@ -717,10 +717,10 @@ class ReorderBuffer:
     def seen(self, index: int) -> bool:
         """Whether ``index`` was already delivered or is staged.
 
-        The at-least-once executors (the broken-pool retry below and
-        the distributed controller) use this to drop duplicate
-        outcomes instead of tripping the duplicate guard in
-        :meth:`put` — re-execution is safe, re-delivery is not.
+        The broken-pool retry below re-runs only unseen indices, and
+        the distributed controller drops duplicate outcomes instead of
+        tripping the duplicate guard in :meth:`put` — re-execution is
+        safe, re-delivery is not.
         """
         return index < self._next or index in self._pending
 
@@ -844,11 +844,13 @@ def build_deliver(
 class ParallelScheduler:
     """Fan a measurement phase out over a process pool and merge back.
 
-    The merge is a reorder buffer: outcomes arrive shard by shard in
-    completion order, but run *k* is persisted, journalled, logged and
-    reported strictly after every run below *k* — the artifacts of a
-    parallel execution are byte-identical to a sequential one, and a
-    crash leaves the same resumable journal prefix.
+    Runs are per-run tasks on warm per-worker worlds.  The merge is a
+    reorder buffer: outcomes arrive run by run in completion order, but
+    run *k* is persisted, journalled, logged and reported strictly
+    after every run below *k* — the artifacts of a parallel execution
+    are byte-identical to a sequential one, and a crash leaves the same
+    resumable journal prefix.  A delivery that raises (``abort``)
+    cancels every run still queued.
 
     A worker that dies *uncleanly* (SIGKILL, OOM kill — anything that
     breaks the pool rather than raising) is an infrastructure fault,
@@ -915,36 +917,33 @@ class ParallelScheduler:
             if not remaining:
                 buffer.drain()
                 return
-            shards = shard_runs(remaining, self.jobs)
-            with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+            pool = ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(remaining)),
+                initializer=_init_worker,
+                initargs=(self.worker_env, experiment, on_error,
+                          self.recovery_policy),
+            )
+            try:
+                # Ascending submission: workers take tasks off one FIFO
+                # queue, so each executes increasing indices, which the
+                # run-isolation hook's forward-only epochs require.
                 futures = [
-                    pool.submit(
-                        _shard_worker,
-                        self.worker_env,
-                        experiment,
-                        shard,
-                        [runs[index] for index in shard],
-                        on_error,
-                        self.recovery_policy,
-                    )
-                    for shard in shards
+                    pool.submit(_run_task, index, runs[index])
+                    for index in remaining
                 ]
                 buffer.drain()
-                try:
-                    for future in as_completed(futures):
-                        for outcome in future.result():
-                            # A retried pass can race a result that the
-                            # broken pool already surfaced: drop dupes,
-                            # re-execution is idempotent by isolation.
-                            if not buffer.seen(outcome.index):
-                                buffer.put(outcome.index, outcome)
-                        buffer.drain()
-                except BrokenProcessPool as exc:
-                    lost = [i for i in pending if not buffer.seen(i)]
-                    raise NodeError(
-                        f"worker process died uncleanly with "
-                        f"{len(lost)} run(s) unmerged: {exc}"
-                    ) from exc
+                for future in as_completed(futures):
+                    outcome = future.result()
+                    buffer.put(outcome.index, outcome)
+                    buffer.drain()
+            except BrokenProcessPool as exc:
+                lost = [i for i in pending if not buffer.seen(i)]
+                raise NodeError(
+                    f"worker process died uncleanly with "
+                    f"{len(lost)} run(s) unmerged: {exc}"
+                ) from exc
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
 
         try:
             self.recovery_policy.call(

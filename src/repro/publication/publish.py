@@ -17,7 +17,10 @@ from repro.evaluation.plotter import plot_experiment
 from repro.publication.bundle import build_manifest, bundle_artifacts
 from repro.publication.website import generate_website
 
-__all__ = ["PublicationReport", "publish"]
+__all__ = ["PUBLICATION_OUTPUTS", "PublicationReport", "publish"]
+
+#: Files :func:`publish` writes into the result folder itself.
+PUBLICATION_OUTPUTS = ("MANIFEST.yml", "README.md", "index.html", "dashboard.html")
 
 
 @dataclass
@@ -52,7 +55,7 @@ def publish(
     Steps, in order (each feeding the next):
 
     1. generate the figures into ``<result>/figures``,
-    2. write the manifest of every artifact file,
+    2. write the manifest of every artifact file (except these outputs),
     3. generate README.md / index.html listing everything,
     4. bundle the whole folder into a ``tar.gz`` next to it.
     """
@@ -61,7 +64,12 @@ def publish(
         results = load_experiment(result_path)
         report.figures = plot_experiment(results, formats=formats)
 
-    manifest = build_manifest(result_path)
+    # The publication outputs describe the tree; hashing them into the
+    # manifest would change it (and the archive) on every re-publish.
+    manifest = [
+        entry for entry in build_manifest(result_path)
+        if entry["path"] not in PUBLICATION_OUTPUTS
+    ]
     report.manifest_path = os.path.join(result_path, "MANIFEST.yml")
     yamlite.dump_file({"files": manifest}, report.manifest_path)
 

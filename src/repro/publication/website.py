@@ -72,11 +72,17 @@ def _human_size(size: int) -> str:
 
 
 def _collect(root: str) -> Dict[str, List[str]]:
-    """Group artifact files: top-level, setup, figures, and per run."""
+    """Group artifact files: top-level, setup, figures, and per run.
+
+    The index pages themselves are left out: a page cannot list its own
+    final size, and listing the other page would change on re-publish.
+    """
     groups: Dict[str, List[str]] = {"experiment": [], "setup": [], "figures": []}
     for directory, __, files in sorted(os.walk(root)):
         relative_dir = os.path.relpath(directory, root)
         for name in sorted(files):
+            if relative_dir == "." and name in ("README.md", "index.html"):
+                continue
             relative = (
                 name if relative_dir == "." else f"{relative_dir}/{name}"
             ).replace(os.sep, "/")

@@ -337,6 +337,153 @@ class TestParallelResume:
 
 
 # --------------------------------------------------------------------------
+# per-run dispatch on warm worker worlds
+# --------------------------------------------------------------------------
+
+
+def _append_line(path, line):
+    """One whole line per O_APPEND write, so workers never interleave."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        os.write(fd, (line + "\n").encode())
+    finally:
+        os.close(fd)
+
+
+def _recording_worker_world(platform, seed, fault_plan, log_path, slow_from):
+    """A worker world factory that logs its build and every run it starts.
+
+    Writes ``build <pid>`` once per world and ``run <pid> <index>`` from
+    the run-isolation hook.  Runs at or above ``slow_from`` sleep first,
+    keeping both workers busy while the parent reacts to earlier runs.
+    Module-level so the WorkerEnv recipe pickles by reference.
+    """
+    import time
+
+    from repro.casestudy.experiment import _build_worker_world
+
+    world = _build_worker_world(platform, seed, fault_plan)
+    _append_line(log_path, f"build {os.getpid()}")
+    setup = world.context_extra["setup"]
+    begin_run = setup.begin_run
+
+    def logged_begin_run(index):
+        _append_line(log_path, f"run {os.getpid()} {index}")
+        if slow_from is not None and index >= slow_from:
+            time.sleep(1.0)
+        begin_run(index)
+
+    setup.begin_run = logged_begin_run
+    return world
+
+
+def _read_worker_log(path):
+    """(builds per pid, run indices per pid in execution order)."""
+    builds, runs = {}, {}
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            kind, pid, *rest = line.split()
+            if kind == "build":
+                builds[pid] = builds.get(pid, 0) + 1
+            else:
+                runs.setdefault(pid, []).append(int(rest[0]))
+    return builds, runs
+
+
+class TestPerRunDispatch:
+    """Workers build one world per pass and stream runs one at a time."""
+
+    RATES = [100_000, 150_000, 200_000, 250_000, 300_000, 350_000,
+             400_000, 450_000]
+
+    def run_with_env(self, root, worker_env, jobs, fault_plan=None, **kwargs):
+        env = build_environment(
+            "pos", str(root), clock=CLOCK, fault_plan=fault_plan,
+        )
+        experiment = build_case_study_experiment(
+            platform="pos", rates=self.RATES, sizes=(64,), duration_s=0.02,
+            interval_s=0.01, script_style=kwargs.pop("script_style", "python"),
+        )
+        return env.controller.run(
+            experiment, setup_context_extra={"setup": env.setup},
+            jobs=jobs, worker_env=worker_env, **kwargs,
+        )
+
+    @staticmethod
+    def recording_env(log_path, fault_plan=None, slow_from=None):
+        from repro.core.scheduler import WorkerEnv
+
+        return WorkerEnv(
+            factory=_recording_worker_world,
+            kwargs={
+                "platform": "pos", "seed": 0, "fault_plan": fault_plan,
+                "log_path": log_path, "slow_from": slow_from,
+            },
+        )
+
+    def test_one_world_per_worker_and_ascending_indices(self, tmp_path):
+        log_path = str(tmp_path / "workers.log")
+        handle = self.run_with_env(
+            tmp_path / "par", self.recording_env(log_path), jobs=2,
+        )
+        assert handle.completed_runs == 8
+        builds, runs = _read_worker_log(log_path)
+        assert set(builds) == set(runs)
+        assert all(count == 1 for count in builds.values())
+        for indices in runs.values():
+            assert indices == sorted(indices)
+        executed = sorted(i for indices in runs.values() for i in indices)
+        assert executed == list(range(8))
+
+    def test_setup_failure_in_a_worker_raises_the_setup_error(self, tmp_path):
+        from repro.casestudy.experiment import case_study_worker_env
+        from repro.core.errors import ScriptError
+
+        # Every command on the load generator fails in the workers'
+        # worlds only: their setup scripts fail, the parent's does not.
+        broken = FaultPlan([FaultSpec(kind="script", node="riga", times=None)])
+        worker_env = case_study_worker_env("pos", fault_plan=broken)
+        # Not a NodeError: that would be retried as a dead worker.
+        with pytest.raises(ScriptError, match="setup of role"):
+            self.run_with_env(tmp_path, worker_env, jobs=2)
+
+    def test_abort_cancels_queued_runs_and_matches_sequential(self, tmp_path):
+        from repro.core.errors import ScriptError
+
+        def plan():
+            return FaultPlan(
+                [FaultSpec(kind="script", runs=(1,), times=1)], seed=11
+            )
+
+        errors = {}
+        for name, jobs in (("seq", 1), ("par", 2)):
+            log_path = str(tmp_path / f"{name}.log")
+            with pytest.raises(ScriptError) as caught:
+                self.run_with_env(
+                    tmp_path / name,
+                    self.recording_env(log_path, plan(), slow_from=2),
+                    jobs=jobs, fault_plan=plan(), on_error="abort",
+                    script_style="shell",
+                )
+            errors[name] = str(caught.value)
+        assert errors["par"] == errors["seq"]
+        assert errors["par"].startswith("measurement run 1 failed")
+        seq, par = tree(str(tmp_path / "seq")), tree(str(tmp_path / "par"))
+        assert par == seq
+        assert [
+            entry["index"]
+            for entry in journal_entries(par)
+            if entry.get("event") == "run"
+        ] == [0, 1]
+        # Runs 0 and 1 are fast; the parent aborts while the workers
+        # sleep in runs 2 and 3, so the rest of the queue never starts.
+        __, runs = _read_worker_log(str(tmp_path / "par.log"))
+        executed = sorted(i for indices in runs.values() for i in indices)
+        assert executed[:2] == [0, 1]
+        assert len(executed) < 8
+
+
+# --------------------------------------------------------------------------
 # worker crashes: BrokenProcessPool is a retryable infrastructure fault
 # --------------------------------------------------------------------------
 

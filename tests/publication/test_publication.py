@@ -174,6 +174,37 @@ class TestPublish:
         with open(os.path.join(handle.result_path, "index.html")) as f:
             assert "dashboard.html" in f.read()
 
+    def test_republish_is_byte_identical(self, tmp_path):
+        from repro.casestudy import run_case_study
+        from repro.publication.publish import PUBLICATION_OUTPUTS
+
+        handle = run_case_study(
+            "pos", str(tmp_path), rates=[1_000_000], sizes=(64,),
+            duration_s=0.02, interval_s=0.01,
+        )
+        root = handle.result_path
+
+        def publish_and_read():
+            report = publish(root)
+            paths = [os.path.join(root, name) for name in PUBLICATION_OUTPUTS]
+            files = {}
+            for path in paths + [report.archive_path]:
+                with open(path, "rb") as stream:
+                    files[os.path.basename(path)] = stream.read()
+            return files
+
+        first = publish_and_read()
+        assert publish_and_read() == first
+        assert verify_bundle(root + ".tar.gz", root)
+        # No output is hashed into the manifest, and neither index page
+        # lists itself or the other one.
+        manifest = yamlite.load_file(os.path.join(root, "MANIFEST.yml"))
+        listed = {entry["path"] for entry in manifest["files"]}
+        assert listed.isdisjoint(PUBLICATION_OUTPUTS)
+        assert "[README.md](README.md)" not in first["README.md"].decode()
+        assert "[index.html](index.html)" not in first["README.md"].decode()
+        assert '<a href="README.md">' not in first["index.html"].decode()
+
     def test_dashboard_omitted_without_telemetry(self, artifact_tree):
         from repro.publication.website import generate_dashboard
 
