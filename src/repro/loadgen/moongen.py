@@ -225,7 +225,9 @@ class MoonGen:
 
         Returns False when the traffic path is not an analytically
         replayable feed-forward DAG (or batching is disabled), in which
-        case the caller schedules the legacy per-packet event loop.
+        case the caller schedules the legacy per-packet event loop.  A
+        fallback with batching enabled counts ``fastpath.fallback.<why>``
+        in the run's telemetry, ``<why>`` naming the hop and the rule.
         Consecutive runs on an unchanged topology reuse the compiled
         stage table.  The replay records ``job.drain_horizon_s``.
         """
@@ -235,6 +237,9 @@ class MoonGen:
             return False
         spec = fastpath.acquire_dag(self)
         if spec is None:
+            collector = _telemetry.current()
+            if collector is not None:
+                collector.count(f"fastpath.fallback.{self._dag_fallback}")
             return False
         fastpath.run_batched(self, job, spec)
         return True

@@ -12,17 +12,18 @@ over the packets sent before it.
 
 :func:`compile_dag` walks the wiring from the TX port and emits a
 :class:`DagSpec` — a stage table of serialization, FIFO-service,
-RSS-fan-out and match-action stages — when every hop declares the
-*deterministic-service capability* (``deterministic_service`` on
-devices, ``constant_delay()`` on links).  Eligibility is declared, not
-hard-coded: a :class:`~repro.netsim.router.LinuxRouter` subclass with a
-different (but still size-pure) cost model compiles as long as it
-re-declares the capability for its own overrides; a subclass that
-overrides behaviour below the declaring class is rejected and falls
-back to the event path.  Consecutive runs that share a compiled
-topology (a rate x size sweep on one world) reuse the spec through
-:func:`acquire_dag`, which re-verifies quiescence instead of
-recompiling.
+RSS-fan-out, match-action and seeded-VM stages — when every link
+declares ``constant_delay()`` and every device a replay capability:
+``deterministic_service`` (a size-pure cost model) or
+``seeded_service`` (draws from the device's own seeded RNG in a fixed
+order, the vpos guest of :mod:`repro.netsim.vm`).  Eligibility is
+declared, not hard-coded: a :class:`~repro.netsim.router.LinuxRouter`
+subclass with a different (but still size-pure) cost model compiles as
+long as it re-declares the capability for its own overrides; a
+subclass that overrides behaviour below the declaring class is
+rejected.  Consecutive runs that share a compiled topology (a rate x
+size sweep on one world) reuse the spec through :func:`acquire_dag`,
+which re-verifies quiescence instead of recompiling.
 
 :func:`run_batched` replays one whole measurement job as a short
 sequence of whole-column passes that CPython executes in C
@@ -61,7 +62,11 @@ state; only a block that nothing else verifies pays for it.  Poisson
 send times keep their RNG loop (one ``expovariate`` draw per send,
 after the send) and then flow through the same stage passes; an RSS
 stage keeps its per-packet body inside the block pipeline and holds
-back completions a later block could still precede.
+back completions a later block could still precede.  A seeded VM stage
+(:class:`_VmStage`) is a per-packet loop over the guest's arrivals,
+completions and its hypervisor's pauses, in the event heap's order,
+making the event path's RNG draws in the event path's order; it too
+holds back the completions a later arrival could still influence.
 
 Every float is produced by the same operation, on the same operands,
 in the same order as the event engine, so the replay is bit-identical:
@@ -85,11 +90,14 @@ in the same order as the event engine, so the replay is bit-identical:
   frames, a bridge's FDB learns the flow's source exactly when a frame
   completes service).
 
-Ineligible topologies — stochastic service times, undeclared
-overrides, contended cut-through switch ports, flooding multi-port
-bridges — silently fall back to the legacy per-packet event path,
-which remains the semantic reference.  ``POS_NETSIM_BATCH=0`` disables
-the fast path globally, which is how the equivalence tests and
+Ineligible topologies — undeclared overrides, contended cut-through
+switch ports, flooding multi-port bridges, a device busy or paused at
+compile time — run on the legacy per-packet event path, which remains
+the semantic reference.  The fallback is not silent: the compiler names
+the port, link or device and the rule it broke (:func:`_compile`), and
+``MoonGen.start`` counts ``fastpath.fallback.<reason>`` in the run's
+telemetry, which ``pos doctor`` reports.  ``POS_NETSIM_BATCH=0``
+disables the fast path globally, which is how the equivalence tests and
 benchmarks pit the two implementations against each other.
 
 The fast path computes the *fully drained* end state: every frame in
@@ -103,21 +111,28 @@ against their ``sim.run(until=...)`` window.
 
 from __future__ import annotations
 
+import copy
+import math
+import random
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import accumulate, chain, islice, repeat
 from operator import add, ge, le, sub
 from typing import Dict, List, Optional
 
 from repro.core.envcache import EnvSwitch
+from repro.core.errors import SimulationError
 from repro.loadgen.moongen import IntervalStats
 from repro.netsim.asicswitch import PIPELINE_LATENCY_S, AsicSwitch
 from repro.netsim.bridge import LinuxBridge
+from repro.netsim.engine import PeriodicTimer
 from repro.netsim.multicore import MultiCoreRouter
 from repro.netsim.nic import Nic
 from repro.netsim.packet import Packet, wire_bits
 from repro.netsim.router import ForwardingDevice
+from repro.netsim.vm import Hypervisor, VirtualizedLinuxRouter
 from repro.telemetry import context as _telemetry
 
 __all__ = [
@@ -137,8 +152,8 @@ enabled = EnvSwitch("POS_NETSIM_BATCH")
 #: measurement chain (and might be a wiring loop).
 _MAX_HOPS = 64
 
-#: Behaviour methods the capability declaration vouches for: each must
-#: be defined at or above the class declaring ``deterministic_service``.
+#: Behaviour methods a capability declaration vouches for: each must be
+#: defined at or above the class declaring the capability.
 _DEVICE_METHODS = (
     "service_time",
     "output_port",
@@ -152,9 +167,20 @@ _DEVICE_METHODS = (
     "pause",
     "resume",
     "clear",
+    "_overload_factor",
 )
 
-_capability_cache: Dict[type, bool] = {}
+#: The replay capabilities a device class can declare, in the order
+#: the compiler tries them.
+_CAPABILITIES = ("deterministic_service", "seeded_service")
+
+#: Queueing methods the seeded stage replays as ForwardingDevice's.
+_SEEDED_QUEUE_METHODS = (
+    "_on_receive", "_start_service", "_finish_service", "output_port",
+    "pause", "resume",
+)
+
+_capability_cache: Dict[type, tuple] = {}
 _link_cache: Dict[type, bool] = {}
 
 
@@ -166,28 +192,35 @@ def _defining_class(cls: type, name: str) -> Optional[type]:
     return None
 
 
-def _device_capability(cls: type) -> bool:
-    """Whether ``cls`` declared the deterministic-service capability.
+def _device_capability(cls: type) -> tuple:
+    """Which replay capability ``cls`` holds: ``(flag, None)`` or ``(None, why)``.
 
-    The first class in the MRO that *declares*
-    ``deterministic_service`` must declare it truthy, and every
-    behaviour method must be defined at or above that declarer —
-    overriding behaviour below the declaration silently voids it.
+    For each capability flag in turn, the first class in the MRO that
+    *declares* the flag must declare it truthy, and every behaviour
+    method must be defined at or above that declarer — overriding
+    behaviour below the declaration silently voids it.
     """
     cached = _capability_cache.get(cls)
     if cached is not None:
         return cached
-    declarer = _defining_class(cls, "deterministic_service")
-    ok = declarer is not None and bool(vars(declarer)["deterministic_service"])
-    if ok:
+    result = (None, f"{cls.__name__} declares no replay capability")
+    for flag in _CAPABILITIES:
+        declarer = _defining_class(cls, flag)
+        if declarer is None or not vars(declarer)[flag]:
+            continue
+        result = (flag, None)
         allowed = set(declarer.__mro__)
         for name in _DEVICE_METHODS:
             defining = _defining_class(cls, name)
             if defining is not None and defining not in allowed:
-                ok = False
+                result = (None, (
+                    f"{defining.__name__}.{name} overrides behaviour below "
+                    f"the {flag} declaration of {declarer.__name__}"
+                ))
                 break
-    _capability_cache[cls] = ok
-    return ok
+        break
+    _capability_cache[cls] = result
+    return result
 
 
 def _link_replayable(cls: type) -> bool:
@@ -223,7 +256,9 @@ class StageSpec:
     followed by ``post_delay_s`` of constant wire delay), ``fifo`` (a
     single-server :class:`ForwardingDevice` queue), ``rss`` (a
     :class:`MultiCoreRouter`'s per-core FIFO fan-out), ``asic`` (a
-    match-action pipeline with constant latency).
+    match-action pipeline with constant latency), ``vm`` (a
+    :class:`VirtualizedLinuxRouter` behind its hypervisor, replayed
+    draw for draw by :class:`_VmStage`).
     """
 
     kind: str
@@ -262,32 +297,77 @@ def _ingress_ready(nic: Nic) -> bool:
     return nic._rx_handler is not None and not nic._rx_backlog
 
 
-def _device_quiescent(device) -> bool:
-    if device.backlog_depth or getattr(device, "paused", False):
-        return False
+def _device_busy(device) -> Optional[str]:
+    """Why ``device`` is not idle and empty, or None when it is."""
+    if device.backlog_depth:
+        return "backlog not empty at compile time"
+    if getattr(device, "paused", False):
+        return "paused at compile time"
     if getattr(device, "_busy", False):
-        return False
+        return "busy at compile time"
     core_busy = getattr(device, "_core_busy", None)
     if core_busy and any(core_busy):
-        return False
-    return True
+        return "a core is busy at compile time"
+    return None
+
+
+def _seeded_fault(device) -> Optional[str]:
+    """Why the seeded stage cannot replay ``device``, or None."""
+    cls = type(device)
+    for name in ("service_time", "_overload_factor"):
+        if _defining_class(cls, name) is not VirtualizedLinuxRouter:
+            return f"{name} is not VirtualizedLinuxRouter's cost model"
+    for name in _SEEDED_QUEUE_METHODS:
+        if _defining_class(cls, name) is not ForwardingDevice:
+            return f"{name} is not ForwardingDevice's queue"
+    if not isinstance(device._rng, random.Random):
+        return "service RNG is not a random.Random"
+    hypervisors = device.hypervisors
+    if len(hypervisors) > 1:
+        return f"paused by {len(hypervisors)} hypervisors"
+    if hypervisors:
+        hypervisor = hypervisors[0]
+        kind = type(hypervisor)
+        for name in ("_preempt", "_release"):
+            if _defining_class(kind, name) is not Hypervisor:
+                return f"hypervisor {name} is not Hypervisor's"
+        if _defining_class(type(hypervisor._timer), "_fire") is not PeriodicTimer:
+            return "hypervisor quantum timer is not a PeriodicTimer"
+        if not isinstance(hypervisor._rng, random.Random):
+            return "hypervisor RNG is not a random.Random"
+        if hypervisor.outstanding:
+            return "a hypervisor pause release is outstanding at compile time"
+    return None
 
 
 def compile_dag(moongen) -> Optional[DagSpec]:
     """Discover whether ``moongen``'s traffic path is a replayable DAG.
 
+    Returns the spec, or None — event path — when a hop does not
+    qualify; :func:`_compile` returns the reason instead.
+    """
+    spec = _compile(moongen)
+    return spec if isinstance(spec, DagSpec) else None
+
+
+def _compile(moongen):
+    """The compiled :class:`DagSpec`, or the reason it does not compile.
+
     Walks the wiring hop by hop from the TX port: every link must
-    declare a constant carry delay, every device the
-    deterministic-service capability, every queue must be idle and
-    empty (so the recurrences start from the same blank state a fresh
-    run does), and the path must terminate at the generator's RX port.
-    Returns None — event path — on the first hop that does not qualify.
+    declare a constant carry delay, every device a replay capability,
+    every queue must be idle and empty (so the recurrences start from
+    the same blank state a fresh run does), and the path must terminate
+    at the generator's RX port.  The first hop that does not qualify
+    ends the walk with a reason naming the port, link or device and
+    the rule.
     """
     tx, rx = moongen.tx_nic, moongen.rx_nic
-    if tx is rx or getattr(rx, "rx_owner", None) is not moongen:
-        return None
+    if tx is rx:
+        return f"{tx.name}: generator transmits and receives on one port"
+    if getattr(rx, "rx_owner", None) is not moongen:
+        return f"{rx.name}: RX port is not owned by the generator"
     if not _ingress_ready(rx):
-        return None
+        return f"{rx.name}: RX port has no handler or a receive backlog"
     dst_key = rx.name
     stages: List[StageSpec] = []
     seen: set = set()
@@ -295,84 +375,109 @@ def compile_dag(moongen) -> Optional[DagSpec]:
     tx_post_delay = None
     for __ in range(_MAX_HOPS):
         if not _nic_quiescent(nic):
-            return None
+            return f"{nic.name}: TX ring busy at compile time"
         delay = _link_delay(nic.link)
         if delay is None:
-            return None
+            return (f"{nic.name}: link {type(nic.link).__name__} declares "
+                    f"no constant carry delay")
         try:
             peer = nic.link.peer(nic)
         except Exception:  # noqa: BLE001 - exotic link without a peer
-            return None
+            return f"{nic.name}: link {type(nic.link).__name__} has no peer"
         if tx_post_delay is None:
             tx_post_delay = delay
         else:
             stages.append(StageSpec(kind="serialize", nic=nic, post_delay_s=delay))
         if peer is rx:
-            return DagSpec(
-                owner=moongen,
-                tx_nic=tx,
-                tx_post_delay_s=tx_post_delay,
-                rx_nic=rx,
-                stages=stages,
-            )
+            return _finish_compile(moongen, tx, tx_post_delay, rx, stages)
         owner = getattr(peer, "rx_owner", None)
-        if owner is None or id(owner) in seen:
-            return None
+        if owner is None:
+            return f"{peer.name}: port feeds no device"
+        if id(owner) in seen:
+            return f"{peer.name}: path re-enters a device (wiring loop)"
         seen.add(id(owner))
         if not _ingress_ready(peer):
-            return None
+            return f"{peer.name}: ingress has no handler or a receive backlog"
+        cls = type(owner)
+        name = getattr(owner, "name", cls.__name__)
+        capability, why = _device_capability(cls)
+        if capability is None:
+            return f"{name}: {why}"
         if isinstance(owner, AsicSwitch):
-            if not _device_capability(type(owner)):
-                return None
-            if _defining_class(type(owner), "_process") is not AsicSwitch:
-                return None
+            if _defining_class(cls, "_process") is not AsicSwitch:
+                return f"{name}: _process is not AsicSwitch's pipeline"
             if peer not in owner.ports:
-                return None
+                return f"{name}: ingress {peer.name} is not a switch port"
             ingress_index = owner.ports.index(peer)
             egress_index = owner._table.get(dst_key)
-            if egress_index is None or egress_index == ingress_index:
-                return None
+            if egress_index is None:
+                return f"{name}: no match-action rule for {dst_key}"
+            if egress_index == ingress_index:
+                return f"{name}: rule for {dst_key} points back at the ingress"
             stages.append(StageSpec(kind="asic", device=owner, ingress=peer))
             nic = owner.ports[egress_index]
         elif isinstance(owner, ForwardingDevice):
-            if not _device_capability(type(owner)):
-                return None
-            if not _device_quiescent(owner):
-                return None
-            cls = type(owner)
+            busy = _device_busy(owner)
+            if busy is not None:
+                return f"{name}: {busy}"
             # The replay kernel models exactly two queueing disciplines
             # and two routing functions; anything else — even if
             # capability-declared — is unknown semantics.
             receive_def = _defining_class(cls, "_on_receive")
             output_def = _defining_class(cls, "output_port")
             if output_def not in (ForwardingDevice, LinuxBridge):
-                return None
+                return f"{name}: output_port is neither a router's nor a bridge's"
             if len(owner.ports) != 2 or peer not in owner.ports:
-                return None
+                return f"{name}: has {len(owner.ports)} ports, the replay needs 2"
             egress = owner.ports[1] if peer is owner.ports[0] else owner.ports[0]
-            if receive_def is ForwardingDevice:
-                if _defining_class(cls, "_start_service") is not ForwardingDevice:
-                    return None
-                if _defining_class(cls, "_finish_service") is not ForwardingDevice:
-                    return None
+            if capability == "seeded_service":
+                fault = _seeded_fault(owner)
+                if fault is not None:
+                    return f"{name}: {fault}"
+                stages.append(StageSpec(kind="vm", device=owner, ingress=peer))
+            elif owner.hypervisors:
+                return f"{name}: paused by a hypervisor but not seeded_service"
+            elif receive_def is ForwardingDevice:
+                for method in ("_start_service", "_finish_service"):
+                    if _defining_class(cls, method) is not ForwardingDevice:
+                        return f"{name}: {method} is not ForwardingDevice's queue"
                 stages.append(StageSpec(
                     kind="fifo", device=owner, ingress=peer,
                     learns_src=output_def is LinuxBridge,
                 ))
             elif receive_def is MultiCoreRouter:
-                for name in ("_start_core", "_finish_core", "core_for"):
-                    if _defining_class(cls, name) is not MultiCoreRouter:
-                        return None
+                for method in ("_start_core", "_finish_core", "core_for"):
+                    if _defining_class(cls, method) is not MultiCoreRouter:
+                        return f"{name}: {method} is not MultiCoreRouter's"
                 stages.append(StageSpec(
                     kind="rss", device=owner, ingress=peer,
                     learns_src=output_def is LinuxBridge,
                 ))
             else:
-                return None
+                return f"{name}: _on_receive is an unknown queueing discipline"
             nic = egress
         else:
-            return None
-    return None
+            return f"{name}: {type(owner).__name__} is not a replayable device"
+    return f"{tx.name}: path longer than {_MAX_HOPS} hops"
+
+
+def _finish_compile(moongen, tx, tx_post_delay, rx, stages):
+    """The spec, once every seeded guest's hypervisor stays on the path."""
+    guests = [s.device for s in stages if s.kind == "vm"]
+    on_path = set(map(id, guests))
+    for guest in guests:
+        for hypervisor in guest.hypervisors:
+            for other in hypervisor._guests:
+                if id(other) not in on_path:
+                    return (f"{guest.name}: its hypervisor also pauses "
+                            f"{getattr(other, 'name', other)}, off this path")
+    return DagSpec(
+        owner=moongen,
+        tx_nic=tx,
+        tx_post_delay_s=tx_post_delay,
+        rx_nic=rx,
+        stages=stages,
+    )
 
 
 def _same_dag(cached: DagSpec, fresh: DagSpec) -> bool:
@@ -407,9 +512,10 @@ def acquire_dag(moongen) -> Optional[DagSpec]:
     replays through the same stage table.  ``DagSpec.reuse_count``
     counts the engagements.
     """
-    fresh = compile_dag(moongen)
-    if fresh is None:
+    fresh = _compile(moongen)
+    if not isinstance(fresh, DagSpec):
         moongen._dag_spec = None
+        moongen._dag_fallback = fresh
         return None
     spec = getattr(moongen, "_dag_spec", None)
     if spec is not None and spec.owner is moongen and _same_dag(spec, fresh):
@@ -812,6 +918,195 @@ class _RssStage:
         return [x[0] for x in out], [x[3] for x in out]
 
 
+def _before(t1: float, s1: float, t2: float, s2: float) -> bool:
+    """Whether an event due at ``t1``, scheduled at ``s1``, runs before
+    one due at ``t2``, scheduled at ``s2`` (see :class:`_VmStage`)."""
+    if t1 != t2:
+        return t1 < t2
+    if s1 != s2:
+        return s1 < s2
+    raise SimulationError(
+        f"seeded VM replay: two events due at t={t1!r} were both "
+        f"scheduled at t={s1!r}; their heap order is not modelled "
+        f"(replay this run with POS_NETSIM_BATCH=0)"
+    )
+
+
+class _VmStage:
+    """A :class:`VirtualizedLinuxRouter` behind its :class:`Hypervisor`.
+
+    One per-packet loop runs the guest's four event kinds — frame
+    arrivals, service completions, quantum fires and pause releases —
+    in the event heap's order and makes the event path's RNG draws in
+    the event path's order:
+
+    * each service start draws one ``gauss`` from the router's own
+      ``_rng`` (consumed in place, so it ends in the event path's
+      state), plus the ``_overload_factor`` epoch draws when the
+      backlog, counting the frame entering service, reaches
+      ``overload_backlog`` and the start time has reached
+      ``_epoch_end``;
+    * each quantum fire draws one ``expovariate`` pause from a *copy*
+      of the hypervisor's ``_rng`` (``copy.copy``: its
+      ``getstate``/``setstate``).  Fires accumulate ``t + interval``
+      from the timer's pending event, a release is due at ``fire +
+      pause``.  Pauses do not depend on the traffic, and the real timer
+      keeps firing in ``sim.run``, so the hypervisor's own counters and
+      generator advance exactly as on the event path;
+    * :class:`ForwardingDevice` semantics: a pause never stretches a
+      service that has started, a completion while paused stops the
+      server, a release restarts it only on a non-empty backlog, and
+      any release ends the pause (overlapping pauses end at the first
+      release after the latest fire).
+
+    Equal-time ties follow the heap's ``(time, seq)`` order, and
+    sequence numbers grow with the instant an event was *scheduled*: of
+    two events due at one instant, the one scheduled earlier runs
+    first.  An arrival is scheduled when the ingress NIC finishes
+    serializing the frame (``wire`` before it is due), a completion
+    when its service started, a fire at the previous fire (the pending
+    first fire before the job started, so before every frame event), a
+    release at its fire.  Hence:
+
+    * a fire landing on a completion runs first whenever the service
+      started after the previous fire (any service shorter than a
+      quantum): the completion finds the guest paused and stops;
+    * a release landing on an arrival runs first whenever the frame
+      finished serializing after the pausing fire: a waiting backlog
+      head starts service before the arrival joins the backlog;
+    * a release landing on the next fire (a pause exactly one quantum
+      long) runs first, because the fire's callback scheduled the
+      release before re-arming the timer: the guest resumes, may start
+      a service the fire then cannot stretch, and pauses again.
+
+    Two events due at one instant *and* scheduled at one instant would
+    need the heap's insertion order within that instant, which the loop
+    does not track.  With seeded draws that takes two random durations
+    to coincide exactly — a zero-length pause, a service time equal to
+    the ingress wire delay, or a service started at a fire lasting
+    exactly a pause or a quantum — and :func:`_before` raises
+    :class:`SimulationError` rather than guessing.
+    """
+
+    def __init__(self, stage: StageSpec, frame: int, spacing: float,
+                 wire: float):
+        device = stage.device
+        self.device = device
+        self.stage = stage
+        self.frame = frame
+        self.wire = wire
+        self.gate_open = device.gate() if device.gate is not None else True
+        self.mean = device.base_cost_s + device.per_byte_s * frame
+        self.backlog: deque = deque()
+        self.busy = False
+        self.paused = False
+        self.done = 0.0
+        self.began = 0.0
+        #: The last frame event the loop replayed (an arrival's).
+        self.horizon = -math.inf
+        self.spacing_out = max(spacing, self.mean)
+        #: Pending hypervisor events ``(due, scheduled, kind)``; kind 0
+        #: is a release, 1 a fire, so a release wins a full tie.
+        self.hyp: list = []
+        if device.hypervisors:
+            hypervisor = device.hypervisors[0]
+            timer = hypervisor._timer
+            event = timer._event
+            if not timer._stopped and event is not None and not event.cancelled:
+                self.hyp.append((event.time, -math.inf, 1))
+            self.pauses = copy.copy(hypervisor._rng)
+            self.pause_rate = 1.0 / hypervisor.pause_mean_s
+            self.quantum = timer._interval
+
+    def _start(self, t: float) -> None:
+        """Serve the backlog head from ``t``: ``service_time``'s draws."""
+        device = self.device
+        rng = device._rng
+        factor = math.exp(rng.gauss(0.0, device.calm_sigma))
+        if len(self.backlog) >= device.overload_backlog:
+            if t >= device._epoch_end:
+                device._epoch_factor = math.exp(
+                    abs(rng.gauss(0.0, device.overload_sigma)))
+                device._epoch_end = t + rng.uniform(
+                    device.EPOCH_MIN_S, device.EPOCH_MAX_S)
+            factor *= device._epoch_factor
+        self.busy = True
+        self.began = t
+        self.done = t + self.mean * factor
+
+    def _step(self, out, sent, a: float = math.inf, f: float = math.inf) -> bool:
+        """Run the next completion or hypervisor event if it precedes an
+        arrival due at ``a`` (scheduled at ``f``); False when none does."""
+        hyp = self.hyp
+        if self.busy and (not hyp or _before(self.done, self.began, *hyp[0][:2])):
+            t = self.done
+            if not _before(t, self.began, a, f):
+                return False
+            sent.append(self.backlog.popleft())
+            out.append(t)
+            if self.paused or not self.backlog:
+                self.busy = False
+            else:
+                self._start(t)
+            return True
+        if not hyp or not _before(hyp[0][0], hyp[0][1], a, f):
+            return False
+        t, __, fire = heappop(hyp)
+        if fire:
+            pause = self.pauses.expovariate(self.pause_rate)
+            self.paused = True
+            heappush(hyp, (t + pause, t, 0))
+            heappush(hyp, (t + self.quantum, t, 1))
+        elif self.paused:
+            self.paused = False
+            if not self.busy and self.backlog:
+                self._start(t)
+        return True
+
+    def feed(self, A, G, base):
+        """Serve arrivals whose ingress serialization ended at ``A``.
+
+        Returns the completions that precede the block's last arrival;
+        later ones wait for the next block (or :meth:`flush`), because
+        a later arrival can still change the backlog they start with.
+        """
+        n = len(A)
+        _ingress(self.stage, n, self.frame)
+        stats = self.device.stats
+        stats.received += n
+        wire = self.wire
+        self.horizon = A[-1] + wire
+        if not self.gate_open:
+            stats.backlog_dropped += n
+            return [], None
+        out: List[float] = []
+        sent: List[int] = []
+        backlog = self.backlog
+        limit = self.device.backlog_limit
+        step = self._step
+        for f, g in zip(A, range(base, base + n) if G is None else G):
+            a = f + wire
+            while step(out, sent, a, f):
+                pass
+            if len(backlog) >= limit:
+                stats.backlog_dropped += 1
+                continue
+            backlog.append(g)
+            if not self.busy and not self.paused:
+                self._start(a)
+        stats.forwarded += len(out)
+        return out, sent
+
+    def flush(self):
+        """Drain the backlog once the sends ran out."""
+        out: List[float] = []
+        sent: List[int] = []
+        while self.backlog and self._step(out, sent):
+            pass
+        self.device.stats.forwarded += len(out)
+        return out, sent
+
+
 def _interval_counts(counts: List[int], bounds: List[float],
                      times: List[float], total: int,
                      G: Optional[List[int]] = None, base: int = 0) -> None:
@@ -884,16 +1179,23 @@ class _Replay:
                 nxt = _FifoStage(stage, probe, frame, spacing)
             elif kind == "rss":
                 nxt = _RssStage(stage, probe, frame, spacing, seq0, job.flows)
+            elif kind == "vm":
+                # The guest orders ties by the instant the ingress NIC
+                # finished serializing, so it adds the wire itself.
+                upstream = self.stages[-1].queue
+                nxt = _VmStage(stage, frame, spacing, upstream.post)
+                upstream.post = 0.0
             else:
                 nxt = _AsicStage(stage, frame, spacing)
             self.stages.append(nxt)
             spacing = nxt.spacing_out
-        self.rss = any(isinstance(st, _RssStage) for st in self.stages)
+        #: Stages that hold frames back across blocks: a block's
+        #: departures can then belong to sends of earlier blocks.
+        self.holding = [st for st in self.stages if hasattr(st, "flush")]
 
         self.rx_stats = spec.rx_nic.stats
         #: Send times of the timestamped frames by sample number; only
-        #: kept when an RSS stage releases frames out of send order
-        #: across blocks.
+        #: kept when a stage releases frames across blocks.
         self.stamps: List[float] = []
         self.T: List[float] = []
         self.base = 0
@@ -906,7 +1208,7 @@ class _Replay:
         """Replay sends ``base, base + 1, ...`` at times ``T``."""
         self.T = T
         self.base = base
-        if self.rss and self.job.timestamping:
+        if self.holding and self.job.timestamping:
             self.stamps.extend(T[(self.first - base) % self.every::self.every])
         self.horizon = max(self.horizon, T[-1])
         A, G = self.stages[0].feed(T, None, base)
@@ -947,7 +1249,7 @@ class _Replay:
             # Every send of the block came back, in send order.
             k = (first - base) % every
             samples.extend(map(sub, D[k:c:every], T[k:c:every]))
-        elif self.rss:
+        elif self.holding:
             stamps = self.stamps
             samples.extend([
                 d - stamps[(g - first) // every]
@@ -962,11 +1264,12 @@ class _Replay:
                     samples.append(D[k] - T[g - base])
 
     def flush(self) -> None:
-        """Release what RSS stages held back once the sends ran out."""
+        """Release what stages held back once the sends ran out."""
         for position, stage in enumerate(self.stages):
-            if isinstance(stage, _RssStage) and stage.held:
+            if stage in self.holding:
                 A, G = stage.flush()
-                self.push(A, G, position + 1)
+                if A:
+                    self.push(A, G, position + 1)
 
     def finish(self, moongen, sent: int, last_send: float) -> None:
         job = self.job
@@ -976,7 +1279,8 @@ class _Replay:
         job.tx_bytes += self.admitted * frame
         job.rx_packets += self.received
         job.rx_bytes += self.received * frame
-        job.drain_horizon_s = self.horizon
+        job.drain_horizon_s = max([self.horizon] + [
+            st.horizon for st in self.stages if isinstance(st, _VmStage)])
         # Create the intervals the cursor rolled into and leave the
         # shared roll state where the last (latest-time) counted event
         # left it.

@@ -64,6 +64,11 @@ class ForwardingDevice:
     #: capability is rejected by the compiler and falls back to the
     #: event path.
     deterministic_service = False
+    #: Declared seeded-replay capability: the service time draws from
+    #: the device's own seeded ``_rng`` in a fixed order per service
+    #: start, and the fast path replays those draws in a per-packet
+    #: loop.  Same override rule as ``deterministic_service``.
+    seeded_service = False
 
     def __init__(
         self,
@@ -85,6 +90,9 @@ class ForwardingDevice:
         self._busy = False
         self._paused = False
         self._pause_resume_pending = False
+        #: Hypervisors that pause this device (see
+        #: :meth:`repro.netsim.vm.Hypervisor.attach`).
+        self.hypervisors: List[object] = []
 
     # -- wiring ------------------------------------------------------------
 

@@ -69,10 +69,13 @@ class Hypervisor:
         self._timer = PeriodicTimer(sim, quantum_s, self._preempt)
         self.preemptions = 0
         self.total_stolen_s = 0.0
+        #: Pauses whose release has not fired yet.
+        self.outstanding = 0
 
     def attach(self, guest: ForwardingDevice) -> None:
         """Register a guest device whose vCPU this hypervisor schedules."""
         self._guests.append(guest)
+        guest.hypervisors.append(self)
 
     def stop(self) -> None:
         """Stop scheduling (end of simulation)."""
@@ -99,11 +102,13 @@ class Hypervisor:
         pause = self._rng.expovariate(1.0 / self.pause_mean_s)
         self.preemptions += 1
         self.total_stolen_s += pause
+        self.outstanding += 1
         for guest in self._guests:
             guest.pause()
         self.sim.schedule(pause, self._release)
 
     def _release(self) -> None:
+        self.outstanding -= 1
         for guest in self._guests:
             guest.resume()
 
@@ -115,8 +120,12 @@ class VirtualizedLinuxRouter(LinuxRouter):
     the backlog: calm while the guest keeps up, erratic once overloaded.
     """
 
-    #: Stochastic service times: never replayable analytically.
+    #: Stochastic service times: no closed-form replay ...
     deterministic_service = False
+    #: ... but every draw comes from the seeded ``_rng`` in a fixed
+    #: order, once per service start, so the fast path replays the
+    #: guest (and its hypervisor's pauses) draw for draw.
+    seeded_service = True
 
     def __init__(
         self,

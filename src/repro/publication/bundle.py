@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-import io
 import os
 import tarfile
 from typing import Dict, List, Optional
@@ -28,26 +27,39 @@ __all__ = ["build_manifest", "bundle_artifacts", "verify_bundle"]
 _EPOCH = 1638835200
 
 
-def build_manifest(root: str) -> List[Dict[str, object]]:
-    """List every file under ``root`` with size and SHA-256 digest."""
+def _list_files(root: str, skip=()):
+    """``(relative, path)`` of every file under ``root``, in walk order.
+
+    ``skip`` names top-level files to leave out.
+    """
     if not os.path.isdir(root):
         raise PublicationError(f"no such artifact folder: {root}")
-    entries: List[Dict[str, object]] = []
     for directory, __, files in sorted(os.walk(root)):
         for name in sorted(files):
             path = os.path.join(directory, name)
-            relative = os.path.relpath(path, root)
-            digest = hashlib.sha256()
-            with open(path, "rb") as handle:
-                for chunk in iter(lambda: handle.read(65536), b""):
-                    digest.update(chunk)
-            entries.append(
-                {
-                    "path": relative.replace(os.sep, "/"),
-                    "size": os.path.getsize(path),
-                    "sha256": digest.hexdigest(),
-                }
-            )
+            relative = os.path.relpath(path, root).replace(os.sep, "/")
+            if relative not in skip:
+                yield relative, path
+
+
+def build_manifest(root: str, skip=()) -> List[Dict[str, object]]:
+    """List every file under ``root`` with size and SHA-256 digest.
+
+    ``skip`` names top-level files to leave out (and not hash).
+    """
+    entries: List[Dict[str, object]] = []
+    for relative, path in _list_files(root, skip):
+        digest = hashlib.sha256()
+        with open(path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(65536), b""):
+                digest.update(chunk)
+        entries.append(
+            {
+                "path": relative,
+                "size": os.path.getsize(path),
+                "sha256": digest.hexdigest(),
+            }
+        )
     return entries
 
 
@@ -59,34 +71,32 @@ def bundle_artifacts(
     """Create a deterministic ``tar.gz`` of everything under ``root``.
 
     ``prefix`` is the top-level folder name inside the archive; it
-    defaults to the basename of ``root``.
+    defaults to the basename of ``root``.  The tar stream goes straight
+    into the gzip writer, one member at a time.
     """
-    manifest = build_manifest(root)
-    if not manifest:
+    files = list(_list_files(root))
+    if not files:
         raise PublicationError(f"artifact folder {root} is empty; nothing to bundle")
     prefix = prefix or os.path.basename(os.path.normpath(root))
     directory = os.path.dirname(archive_path)
     if directory:
         os.makedirs(directory, exist_ok=True)
 
-    buffer = io.BytesIO()
-    with tarfile.open(fileobj=buffer, mode="w") as tar:
-        for entry in manifest:
-            path = os.path.join(root, str(entry["path"]))
-            info = tarfile.TarInfo(name=f"{prefix}/{entry['path']}")
-            info.size = int(entry["size"])
-            info.mtime = _EPOCH
-            info.uid = info.gid = 0
-            info.uname = info.gname = "pos"
-            info.mode = 0o644
-            with open(path, "rb") as handle:
-                tar.addfile(info, handle)
     # gzip with mtime=0 and no embedded filename for byte-stable output.
     with open(archive_path, "wb") as out:
         with gzip.GzipFile(
             filename="", fileobj=out, mode="wb", mtime=0
         ) as gz:
-            gz.write(buffer.getvalue())
+            with tarfile.open(fileobj=gz, mode="w") as tar:
+                for relative, path in files:
+                    info = tarfile.TarInfo(name=f"{prefix}/{relative}")
+                    info.size = os.path.getsize(path)
+                    info.mtime = _EPOCH
+                    info.uid = info.gid = 0
+                    info.uname = info.gname = "pos"
+                    info.mode = 0o644
+                    with open(path, "rb") as handle:
+                        tar.addfile(info, handle)
     return archive_path
 
 

@@ -66,10 +66,7 @@ def publish(
 
     # The publication outputs describe the tree; hashing them into the
     # manifest would change it (and the archive) on every re-publish.
-    manifest = [
-        entry for entry in build_manifest(result_path)
-        if entry["path"] not in PUBLICATION_OUTPUTS
-    ]
+    manifest = build_manifest(result_path, skip=PUBLICATION_OUTPUTS)
     report.manifest_path = os.path.join(result_path, "MANIFEST.yml")
     yamlite.dump_file({"files": manifest}, report.manifest_path)
 

@@ -98,13 +98,19 @@ def _collect(root: str) -> Dict[str, List[str]]:
     return groups
 
 
-def generate_readme(root: str, repository_url: Optional[str] = None) -> str:
-    """Render the artifact index as Markdown."""
+def generate_readme(root: str, repository_url: Optional[str] = None,
+                    groups: Optional[Dict[str, List[str]]] = None) -> str:
+    """Render the artifact index as Markdown.
+
+    ``groups`` is the tree's :func:`_collect` listing when the caller
+    already has it.
+    """
     if not os.path.isdir(root):
         raise PublicationError(f"no such result folder: {root}")
     metadata = _load_yaml(os.path.join(root, "experiment.yml"))
     variables = _load_yaml(os.path.join(root, "variables.yml"))
-    groups = _collect(root)
+    if groups is None:
+        groups = _collect(root)
 
     lines: List[str] = []
     name = metadata.get("name", os.path.basename(root))
@@ -158,10 +164,12 @@ def generate_readme(root: str, repository_url: Optional[str] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate_html(root: str, repository_url: Optional[str] = None) -> str:
+def generate_html(root: str, repository_url: Optional[str] = None,
+                  groups: Optional[Dict[str, List[str]]] = None) -> str:
     """Render the artifact index as a standalone HTML page."""
     metadata = _load_yaml(os.path.join(root, "experiment.yml"))
-    groups = _collect(root)
+    if groups is None:
+        groups = _collect(root)
     name = html.escape(str(metadata.get("name", os.path.basename(root))))
     parts: List[str] = [
         "<!DOCTYPE html>",
@@ -578,10 +586,13 @@ def generate_website(root: str, repository_url: Optional[str] = None) -> List[st
             handle.write(dashboard)
     readme_path = os.path.join(root, "README.md")
     html_path = os.path.join(root, "index.html")
+    # Both pages leave themselves out of the listing, so one walk
+    # serves both.
+    groups = _collect(root)
     with open(readme_path, "w", encoding="utf-8") as handle:
-        handle.write(generate_readme(root, repository_url))
+        handle.write(generate_readme(root, repository_url, groups))
     with open(html_path, "w", encoding="utf-8") as handle:
-        handle.write(generate_html(root, repository_url))
+        handle.write(generate_html(root, repository_url, groups))
     written.extend([readme_path, html_path])
     if dashboard is not None:
         written.append(dashboard_path)

@@ -43,6 +43,10 @@ ANOMALY_Z = 3.5
 #: Retried-run count at which retries stop being routine.
 RETRY_STORM = 3
 
+#: Counter prefix ``MoonGen.start`` counts a fast-path fallback under;
+#: the rest of the name is the reason.
+FALLBACK_PREFIX = "fastpath.fallback."
+
 _SEVERITY_RANK = {"critical": 0, "warning": 1, "info": 2}
 
 
@@ -151,11 +155,15 @@ def diagnose(path: str) -> Dict[str, Any]:
             {"file": "telemetry.json", "faults": faults},
         ))
     durations: Dict[int, float] = {}
+    fallbacks: Dict[str, List[int]] = {}
     for index, entry in sorted(runs.items()):
         run_dir = os.path.join(path, entry.get("dir") or f"run-{index:03d}")
         snapshot = _read_json(os.path.join(run_dir, "telemetry.json"))
         if snapshot is None:
             continue
+        for name in snapshot.get("metrics", {}).get("counters", {}):
+            if name.startswith(FALLBACK_PREFIX):
+                fallbacks.setdefault(name[len(FALLBACK_PREFIX):], []).append(index)
         for span in snapshot.get("spans", []):
             if span.get("name") == "run":
                 durations[index] = (
@@ -178,6 +186,15 @@ def diagnose(path: str) -> Dict[str, Any]:
                     {"file": f"run-{index:03d}/telemetry.json",
                      "runs": [index]},
                 ))
+
+    for reason, fell_back in sorted(fallbacks.items()):
+        findings.append(_finding(
+            "warning", "fastpath-fallback",
+            f"{len(fell_back)} run(s) fell back to the per-packet event "
+            f"path: {reason}",
+            {"file": f"run-{fell_back[0]:03d}/telemetry.json",
+             "runs": fell_back},
+        ))
 
     # -- health ledger ---------------------------------------------------
     health = _read_json(os.path.join(path, "health.json"))

@@ -192,3 +192,35 @@ class TestSyntheticFindings:
     def test_folder_without_journal_is_one_error(self, tmp_path):
         with pytest.raises(DoctorError, match="journal"):
             diagnose(str(tmp_path))
+
+
+class TestFastPathFallback:
+    def test_ineligible_guest_is_named_with_its_run_count(
+        self, tmp_path, monkeypatch,
+    ):
+        # A guest whose service_time override was never vouched for
+        # replays on the event path; every run says so in its telemetry
+        # and the doctor folds that into one warning.
+        from repro.netsim.vm import VirtualizedLinuxRouter
+        from repro.testbed import scenarios
+
+        class CalmerGuest(VirtualizedLinuxRouter):
+            def service_time(self, packet):
+                return super().service_time(packet) * 0.5
+
+        monkeypatch.setattr(scenarios, "VirtualizedLinuxRouter", CalmerGuest)
+        tree = run_tree(tmp_path, max_runs=3)
+        diagnosis = diagnose(tree)
+        fallbacks = [
+            f for f in diagnosis["findings"]
+            if f["code"] == "fastpath-fallback"
+        ]
+        assert len(fallbacks) == 1
+        assert fallbacks[0]["severity"] == "warning"
+        assert fallbacks[0]["message"] == (
+            "3 run(s) fell back to the per-packet event path: "
+            "vtartu-router: CalmerGuest.service_time overrides behaviour "
+            "below the seeded_service declaration of VirtualizedLinuxRouter"
+        )
+        assert fallbacks[0]["evidence"]["runs"] == [0, 1, 2]
+        assert diagnosis["verdict"] == "degraded"

@@ -277,12 +277,69 @@ class TestCompileEligibility:
         assert batched[:3] == legacy[:3]
         assert batched[3] < legacy[3]
 
-    def test_stochastic_vm_router_rejected(self):
+    def test_vm_router_compiles_to_seeded_stage(self):
+        # Stochastic but seeded: the guest replays draw for draw in the
+        # seeded stage, while the column regimes still reject it.
+        from repro.netsim.vm import Hypervisor, VirtualizedLinuxRouter
+
+        sim = Simulator()
+        router = VirtualizedLinuxRouter(sim)
+        Hypervisor(sim).attach(router)
+        spec = fastpath.compile_dag(build_custom_chain(sim, router))
+        assert spec is not None
+        assert [stage.kind for stage in spec.stages] == ["vm", "serialize"]
+        assert not router.deterministic_service
+
+    def test_seeded_service_override_rejected(self):
+        # Overriding service_time below the seeded_service declarer
+        # voids the capability: the subclass never vouched for its draws.
+        from repro.netsim.vm import VirtualizedLinuxRouter
+
+        class CalmerGuest(VirtualizedLinuxRouter):
+            def service_time(self, packet):
+                return super().service_time(packet) * 0.5
+
+        sim = Simulator()
+        gen = build_custom_chain(sim, CalmerGuest(sim))
+        assert fastpath.compile_dag(gen) is None
+        assert fastpath._compile(gen) == (
+            "vdut: CalmerGuest.service_time overrides behaviour below the "
+            "seeded_service declaration of VirtualizedLinuxRouter"
+        )
+
+    def test_fallback_is_counted_with_its_reason(self):
+        from repro.netsim.vm import VirtualizedLinuxRouter
+        from repro.telemetry import context
+        from repro.telemetry.spans import RunTelemetry
+
+        class CalmerGuest(VirtualizedLinuxRouter):
+            def service_time(self, packet):
+                return super().service_time(packet) * 0.5
+
+        counters = []
+        for router_class in (CalmerGuest, VirtualizedLinuxRouter):
+            sim = Simulator()
+            gen = build_custom_chain(sim, router_class(sim))
+            collector = RunTelemetry()
+            with context.run_collector(collector):
+                gen.start(rate_pps=10_000, frame_size=64, duration_s=0.001)
+            counters.append(collector.metrics.counters)
+        assert counters[0]["fastpath.fallback.vdut: CalmerGuest.service_time "
+                           "overrides behaviour below the seeded_service "
+                           "declaration of VirtualizedLinuxRouter"] == 1
+        assert not any(name.startswith("fastpath.fallback")
+                       for name in counters[1])
+        assert counters[1]["fastpath.batches"] == 1
+
+    def test_paused_vm_router_rejected(self):
         from repro.netsim.vm import VirtualizedLinuxRouter
 
         sim = Simulator()
-        gen = build_custom_chain(sim, VirtualizedLinuxRouter(sim))
+        router = VirtualizedLinuxRouter(sim)
+        gen = build_custom_chain(sim, router)
+        router.pause()
         assert fastpath.compile_dag(gen) is None
+        assert fastpath._compile(gen) == "vdut: paused at compile time"
 
     def test_busy_stage_rejected(self):
         sim = Simulator()

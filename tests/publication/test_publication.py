@@ -92,6 +92,46 @@ class TestBundle:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
+    def test_streamed_archive_matches_buffered_construction(
+        self, artifact_tree, tmp_path,
+    ):
+        """The streamed archive equals the tar-in-memory-then-gzip one
+        byte for byte: same members, order, headers and compression."""
+        nested = artifact_tree / "run-001" / "dut" / "deep"
+        nested.mkdir(parents=True)
+        (nested / "empty.txt").write_bytes(b"")
+        (artifact_tree / "run-001" / "big.bin").write_bytes(
+            bytes(range(256)) * 300 + b"tail"
+        )
+        streamed = str(tmp_path / "streamed.tar.gz")
+        bundle_artifacts(str(artifact_tree), streamed)
+
+        import gzip
+        import io
+
+        root = str(artifact_tree)
+        prefix = os.path.basename(root)
+        buffer = io.BytesIO()
+        with tarfile.open(fileobj=buffer, mode="w") as tar:
+            for entry in build_manifest(root):
+                info = tarfile.TarInfo(name=f"{prefix}/{entry['path']}")
+                info.size = int(entry["size"])
+                info.mtime = 1638835200
+                info.uid = info.gid = 0
+                info.uname = info.gname = "pos"
+                info.mode = 0o644
+                with open(os.path.join(root, entry["path"]), "rb") as handle:
+                    tar.addfile(info, handle)
+        buffered = str(tmp_path / "buffered.tar.gz")
+        with open(buffered, "wb") as out:
+            with gzip.GzipFile(filename="", fileobj=out, mode="wb",
+                               mtime=0) as gz:
+                gz.write(buffer.getvalue())
+        with open(streamed, "rb") as fa, open(buffered, "rb") as fb:
+            assert fa.read() == fb.read()
+        assert os.path.getsize(nested / "empty.txt") == 0
+        assert os.path.getsize(artifact_tree / "run-001" / "big.bin") > 65536
+
     def test_verify_round_trip(self, artifact_tree, tmp_path):
         archive = str(tmp_path / "release.tar.gz")
         bundle_artifacts(str(artifact_tree), archive)
