@@ -33,11 +33,24 @@ events spent.  Only boring outcomes are stored: single-attempt, ``ok``,
 no fault events; anything involving recovery, failure or injected
 faults always re-executes.
 
+Each run is probed when its executor reaches it — serially just
+before it would execute, under ``--jobs`` while runs are submitted to
+the pool; only ``--agents``, which shards pending runs up front, probes
+them all before the first dispatch — through one
+:class:`~repro.core.scheduler.CachePlan` per measurement phase.  So
+the first result of a warm sweep costs one key and one lookup, and
+only the outcome being delivered is held in memory.
+
 The cache is off unless a directory is configured (``--cache DIR`` or
 ``POS_RUN_CACHE_DIR``), and ``POS_RUN_CACHE=0`` is the kill switch that
 wins over both.  Evidence of hits and misses goes to the
 ``cache.jsonl`` sidecar (the ``dispatch.jsonl`` precedent), which is
-deliberately outside the byte-identity contract.
+deliberately outside the byte-identity contract.  Each run's records
+are written when the run is delivered, in index order — any
+``cache.corrupt``, then ``cache.hit`` or ``cache.miss``, then
+``cache.store`` for a freshly stored outcome — so the sidecar is
+byte-identical for every executor, and a run that is never delivered
+leaves no line.
 
 Storage layout, one directory per entry, atomically populated::
 
@@ -131,11 +144,16 @@ class RunCache:
         self.root = root
         self.scope = dict(scope or {})
         self.scope.setdefault("code_epoch", CODE_EPOCH)
-        #: Optional evidence sink ``(event, **fields)`` — the controller
-        #: wires it to the telemetry plane's ``cache_event`` so silent
-        #: corrupt-as-miss degradations still leave a ``cache.jsonl``
-        #: record for ``pos report`` and the critical-path profiler.
+        #: Optional evidence sink ``(event, **fields)`` — the measurement
+        #: phase's :class:`~repro.core.scheduler.CachePlan` wires it up so
+        #: silent corrupt-as-miss degradations still leave a
+        #: ``cache.jsonl`` record (written when the probed run is
+        #: delivered) for ``pos report`` and the critical-path profiler.
         self.evidence: Optional[Callable[..., None]] = None
+        #: Canonical JSON of the scope, and of the last description
+        #: passed to :meth:`key` (memoised by identity).
+        self._scope_json: Optional[str] = None
+        self._described: Optional[tuple] = None
 
     # -- keys -----------------------------------------------------------------
 
@@ -145,14 +163,31 @@ class RunCache:
         index: int,
         loop_instance: Dict[str, Any],
     ) -> str:
-        """SHA-256 fingerprint of one (scenario, assignment, seed) point."""
-        fingerprint = {
-            "scope": self.scope,
-            "experiment": experiment_describe,
-            "index": index,
-            "loop": dict(loop_instance),
-        }
-        return hashlib.sha256(_canonical(fingerprint).encode("utf-8")).hexdigest()
+        """SHA-256 fingerprint of one (scenario, assignment, seed) point.
+
+        The digest is over the canonical JSON of ``{"experiment",
+        "index", "loop", "scope"}``.  Canonical JSON sorts keys at every
+        level, so the whole text is the four fragments spliced in that
+        order: the scope's and the description's fragments are
+        serialised once and reused, byte for byte what serialising the
+        whole fingerprint gives.  The description is recognised by
+        identity — pass one ``describe()`` dict per measurement phase
+        and do not mutate it in between.
+        """
+        if self._scope_json is None:
+            self._scope_json = _canonical(self.scope)
+        described = self._described
+        if described is None or described[0] is not experiment_describe:
+            described = self._described = (
+                experiment_describe, _canonical(experiment_describe),
+            )
+        text = (
+            '{"experiment":' + described[1]
+            + ',"index":' + _canonical(index)
+            + ',"loop":' + _canonical(dict(loop_instance))
+            + ',"scope":' + self._scope_json + "}"
+        )
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def _entry_dir(self, key: str) -> str:
         return os.path.join(self.root, "objects", key[:2], key)

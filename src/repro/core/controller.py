@@ -62,6 +62,7 @@ from repro.core.results import ExperimentDir, ResultStore
 
 from repro.core.scheduler import (
     POS_TOOLS_PATH,
+    CachePlan,
     ParallelScheduler,
     RunRecord,
     WorkerEnv,
@@ -515,9 +516,7 @@ class Controller:
         completed = completed or {}
         health: Dict[str, int] = {}
         injector = self.fault_injector
-        cache, cache_keys, cached = self._cache_plan(
-            experiment, runs, completed, log
-        )
+        cache_plan = self._cache_plan(experiment, runs, log)
         if log is not None:
             # Deliberately job-count-agnostic: the artifact tree of a
             # parallel execution is byte-identical to a sequential one.
@@ -536,7 +535,7 @@ class Controller:
                 experiment, runs, completed, exp_dir, journal, handle, log,
                 injector, on_error, on_run_complete=on_run_complete,
                 progress=self._progress, adopt=self._adopt_completed_run,
-                cached=cached, cache=cache, cache_keys=cache_keys,
+                cache_plan=cache_plan,
             )
             return
         if jobs > 1:
@@ -544,7 +543,7 @@ class Controller:
                 experiment, runs, completed, exp_dir, journal, handle, log,
                 injector, on_error, on_run_complete=on_run_complete,
                 progress=self._progress, adopt=self._adopt_completed_run,
-                cached=cached, cache=cache, cache_keys=cache_keys,
+                cache_plan=cache_plan,
             )
             return
         isolation = getattr(extra.get("setup"), "begin_run", None)
@@ -592,19 +591,15 @@ class Controller:
                     self._progress(index + 1, total)
                 continue
             # -- execute (or replay the cached outcome) ---------------------
-            outcome = cached.get(index)
+            outcome = cache_plan.probe(index)
             if outcome is None:
                 outcome = _scheduler.execute_run(
                     experiment, allocation.node, store, extra, index,
                     loop_instance, on_error, self.recovery_policy, self.clock,
                     injector, isolation,
                 )
-                if cache is not None and index in cache_keys:
-                    if cache.store(cache_keys[index], outcome) and log is not None:
-                        log.cache_event(
-                            "cache.store", run=index, key=cache_keys[index]
-                        )
             record, run_dir = _scheduler.persist_outcome(exp_dir, outcome, log)
+            cache_plan.settle(index, outcome)
             handle.runs.append(record)
             if log is not None:
                 # The run's telemetry snapshot must be durable before the
@@ -646,47 +641,26 @@ class Controller:
         self,
         experiment: Experiment,
         runs: List[Dict[str, Any]],
-        completed: Dict[int, dict],
         log: Optional[ExperimentTelemetry],
-    ) -> tuple:
-        """Consult the run cache for every pending run, up front.
+    ) -> CachePlan:
+        """The run cache's plan for this measurement phase.
 
-        Returns ``(cache, cache_keys, cached)``: the active cache (or
-        None), the fingerprint per pending index, and the hits — cached
-        :class:`RunOutcome` payloads that replace execution and flow
-        through the unchanged persistence pipeline, so a warm tree is
-        byte-identical to a cold one by construction.  Probing happens
-        here, before any scheduler dispatches, so the hit/miss evidence
-        in ``cache.jsonl`` is identical for any job or agent count.
+        Every executor probes each pending run through it when the run
+        is reached and settles the run's ``cache.jsonl`` evidence when
+        it is delivered (:class:`~repro.core.scheduler.CachePlan`).  A
+        hit replays a cached :class:`RunOutcome` through the unchanged
+        persistence pipeline, so a warm tree is byte-identical to a
+        cold one by construction.  The plan is inert without a cache.
 
         A fault injector disables the cache outright: planned faults
         make outcomes a function of the plan, and even a run the plan
         spares must not be served stale from a plan-free execution.
         """
         cache = self.run_cache if self.fault_injector is None else None
-        cache_keys: Dict[int, str] = {}
-        cached: Dict[int, Any] = {}
-        if cache is None:
-            return None, cache_keys, cached
-        if log is not None:
-            # Corrupt-as-miss degradations inside lookup() leave a
-            # cache.corrupt record next to the hit/miss evidence.
-            cache.evidence = log.cache_event
-        described = experiment.describe()
-        for index, loop_instance in enumerate(runs):
-            if index in completed:
-                continue
-            key = cache.key(described, index, loop_instance)
-            cache_keys[index] = key
-            outcome = cache.lookup(key)
-            if outcome is not None:
-                cached[index] = outcome
-            if log is not None:
-                log.cache_event(
-                    "cache.hit" if outcome is not None else "cache.miss",
-                    run=index, key=key,
-                )
-        return cache, cache_keys, cached
+        return CachePlan(
+            cache, experiment, runs,
+            evidence=log.cache_event if log is not None else None,
+        )
 
     @staticmethod
     def _adopt_completed_run(

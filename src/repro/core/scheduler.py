@@ -67,6 +67,7 @@ __all__ = [
     "WorkerEnv",
     "WorkerWorld",
     "ReorderBuffer",
+    "CachePlan",
     "ParallelScheduler",
     "build_deliver",
     "resolve_jobs",
@@ -750,6 +751,87 @@ class ReorderBuffer:
             self._deliver(index, payload)
 
 
+@dataclass
+class _Probe:
+    """One run's memoised cache probe: its key, the cached outcome (None
+    on a miss) and the ``cache.jsonl`` records the probe produced."""
+
+    key: str
+    outcome: Optional[RunOutcome]
+    evidence: List[Tuple[str, Dict[str, Any]]]
+
+
+class CachePlan:
+    """The run cache's side of one measurement phase, shared by every
+    executor: each run is probed when it is reached, not all up front.
+
+    :meth:`probe` fingerprints and looks up one run the first time it
+    is asked and memoises the key, the cached outcome and the probe's
+    evidence, so asking again (a retried pool pass) costs nothing.
+    :meth:`settle` runs when that run is delivered, in index order: it
+    writes the probe's evidence — any ``cache.corrupt`` raised inside
+    the lookup, then ``cache.hit`` or ``cache.miss`` — stores a freshly
+    executed outcome (``cache.store``) and forgets the run.  Deferring
+    the evidence to delivery makes ``cache.jsonl`` byte-identical for
+    every executor, however early one of them probed: a run that is
+    adopted from the journal, skipped, or never delivered after an
+    abort leaves no line.
+
+    Without a cache (``cache=None``) every probe misses and settling
+    does nothing.
+    """
+
+    def __init__(
+        self,
+        cache=None,
+        experiment: Optional[Experiment] = None,
+        runs: Optional[List[Dict[str, Any]]] = None,
+        evidence: Optional[Callable[..., None]] = None,
+    ):
+        self.cache = cache
+        self._runs = runs or []
+        self._emit = evidence
+        self._probes: Dict[int, _Probe] = {}
+        self._captured: List[Tuple[str, Dict[str, Any]]] = []
+        if cache is not None:
+            self._described = experiment.describe()
+            # Corrupt-as-miss degradations inside lookup() are held
+            # with the probe that raised them, not written at once.
+            cache.evidence = self._capture
+
+    def _capture(self, event: str, **fields: Any) -> None:
+        self._captured.append((event, fields))
+
+    def probe(self, index: int) -> Optional[RunOutcome]:
+        """The cached outcome of run ``index``, or None to execute it."""
+        if self.cache is None:
+            return None
+        probe = self._probes.get(index)
+        if probe is None:
+            key = self.cache.key(self._described, index, self._runs[index])
+            captured = self._captured = []
+            outcome = self.cache.lookup(key)
+            captured.append((
+                "cache.hit" if outcome is not None else "cache.miss",
+                {"run": index, "key": key},
+            ))
+            probe = self._probes[index] = _Probe(key, outcome, captured)
+        return probe.outcome
+
+    def settle(self, index: int, outcome: RunOutcome) -> None:
+        """Write run ``index``'s evidence and store it if it was executed."""
+        probe = self._probes.pop(index, None)
+        if probe is None:
+            return
+        emit = self._emit
+        if emit is not None:
+            for event, fields in probe.evidence:
+                emit(event, **fields)
+        if probe.outcome is None and self.cache.store(probe.key, outcome):
+            if emit is not None:
+                emit("cache.store", run=index, key=probe.key)
+
+
 def build_deliver(
     runs: List[Dict[str, Any]],
     completed: Dict[int, dict],
@@ -762,8 +844,7 @@ def build_deliver(
     on_run_complete: Optional[Callable] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     adopt: Optional[Callable] = None,
-    cache=None,
-    cache_keys: Optional[Dict[int, str]] = None,
+    cache_plan: Optional[CachePlan] = None,
 ) -> Callable[[int, Optional[RunOutcome]], None]:
     """The canonical per-run persistence step, as a reorder-buffer sink.
 
@@ -774,14 +855,14 @@ def build_deliver(
     the result tree byte-identical across executors.  A ``None``
     payload marks a journal adoption on resume.
 
-    When a run ``cache`` is active, every freshly produced eligible
-    outcome is stored under its fingerprint from ``cache_keys`` as it
-    is delivered — in index order, so the store evidence in
-    ``cache.jsonl`` is executor-independent too.  Replayed hits pass
-    through unchanged (the store is idempotent and skips them).
+    Each delivered run is settled with the ``cache_plan``
+    (:meth:`CachePlan.settle`) right after it is persisted: its probe
+    evidence goes to ``cache.jsonl`` and a freshly executed eligible
+    outcome is stored — in index order, at delivery, so the sidecar is
+    executor-independent no matter when the executor probed the run.
     """
     total = len(runs)
-    cache_keys = cache_keys or {}
+    plan = cache_plan or CachePlan()
 
     def deliver(index: int, outcome: Optional[RunOutcome]) -> None:
         """Persist one ready run; ``None`` marks a journal adoption."""
@@ -803,13 +884,7 @@ def build_deliver(
             return
         record, run_dir = persist_outcome(exp_dir, outcome, log)
         handle.runs.append(record)
-        if cache is not None and index in cache_keys:
-            if cache.store(cache_keys[index], outcome):
-                cache_evidence = getattr(log, "cache_event", None)
-                if cache_evidence is not None:
-                    cache_evidence(
-                        "cache.store", run=index, key=cache_keys[index]
-                    )
+        plan.settle(index, outcome)
         # Re-sequence the worker's telemetry buffer in run order
         # and snapshot it, before the journal promises the run.
         merge_telemetry = getattr(log, "merge_run", None)
@@ -884,53 +959,52 @@ class ParallelScheduler:
         on_run_complete: Optional[Callable] = None,
         progress: Optional[Callable[[int, int], None]] = None,
         adopt: Optional[Callable] = None,
-        cached: Optional[Dict[int, RunOutcome]] = None,
-        cache=None,
-        cache_keys: Optional[Dict[int, str]] = None,
+        cache_plan: Optional[CachePlan] = None,
     ) -> None:
         total = len(runs)
-        cached = cached or {}
-        pending = [
-            index for index in range(total)
-            if index not in completed and index not in cached
-        ]
+        plan = cache_plan or CachePlan()
+        pending = [index for index in range(total) if index not in completed]
         deliver = build_deliver(
             runs, completed, exp_dir, journal, handle, log, injector,
-            on_error, on_run_complete, progress, adopt,
-            cache=cache, cache_keys=cache_keys,
+            on_error, on_run_complete, progress, adopt, cache_plan=plan,
         )
         buffer = ReorderBuffer(total, deliver)
         for index in completed:
             buffer.put(index, None)
-        # Cache hits never reach a worker: their outcomes are staged
-        # up front and flow through the same delivery pipeline as
-        # executed runs, in index order — a warm tree is byte-identical
-        # to a cold one with zero simulator events spent.
-        for index, outcome in cached.items():
-            buffer.put(index, outcome)
         if not pending:
             buffer.drain()
             return
 
         def run_pass() -> None:
             remaining = [index for index in pending if not buffer.seen(index)]
-            if not remaining:
-                buffer.drain()
-                return
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(remaining)),
-                initializer=_init_worker,
-                initargs=(self.worker_env, experiment, on_error,
-                          self.recovery_policy),
-            )
+            pool: Optional[ProcessPoolExecutor] = None
+            futures = []
             try:
                 # Ascending submission: workers take tasks off one FIFO
                 # queue, so each executes increasing indices, which the
                 # run-isolation hook's forward-only epochs require.
-                futures = [
-                    pool.submit(_run_task, index, runs[index])
-                    for index in remaining
-                ]
+                # Each run is probed as it is reached: a cache hit never
+                # reaches a worker, it is delivered at once through the
+                # same pipeline as executed runs; the pool is forked at
+                # the first miss, if there is one.
+                for position, index in enumerate(remaining):
+                    outcome = plan.probe(index)
+                    if outcome is not None:
+                        buffer.put(index, outcome)
+                        buffer.drain()
+                        continue
+                    if pool is None:
+                        pool = ProcessPoolExecutor(
+                            max_workers=min(
+                                self.jobs, len(remaining) - position
+                            ),
+                            initializer=_init_worker,
+                            initargs=(self.worker_env, experiment, on_error,
+                                      self.recovery_policy),
+                        )
+                    futures.append(
+                        pool.submit(_run_task, index, runs[index])
+                    )
                 buffer.drain()
                 for future in as_completed(futures):
                     outcome = future.result()
@@ -943,7 +1017,8 @@ class ParallelScheduler:
                     f"{len(lost)} run(s) unmerged: {exc}"
                 ) from exc
             finally:
-                pool.shutdown(wait=True, cancel_futures=True)
+                if pool is not None:
+                    pool.shutdown(wait=True, cancel_futures=True)
 
         try:
             self.recovery_policy.call(

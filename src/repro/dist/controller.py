@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.errors import ExperimentError
 from repro.core.scheduler import (
+    CachePlan,
     ReorderBuffer,
     WorkerEnv,
     build_deliver,
@@ -264,28 +265,30 @@ class DistScheduler:
         on_run_complete: Optional[Callable] = None,
         progress: Optional[Callable[[int, int], None]] = None,
         adopt: Optional[Callable] = None,
-        cached: Optional[Dict[int, Any]] = None,
-        cache=None,
-        cache_keys: Optional[Dict[int, str]] = None,
+        cache_plan: Optional[CachePlan] = None,
     ) -> None:
         total = len(runs)
-        cached = cached or {}
-        pending = [
-            index for index in range(total)
-            if index not in completed and index not in cached
-        ]
+        plan = cache_plan or CachePlan()
         deliver = build_deliver(
             runs, completed, exp_dir, journal, handle, log, injector,
-            on_error, on_run_complete, progress, adopt,
-            cache=cache, cache_keys=cache_keys,
+            on_error, on_run_complete, progress, adopt, cache_plan=plan,
         )
         buffer = ReorderBuffer(total, deliver)
         for index in completed:
             buffer.put(index, None)
-        # Cache hits never reach an agent: staged up front, delivered
-        # through the same pipeline as agent results, in index order.
-        for index, outcome in cached.items():
-            buffer.put(index, outcome)
+        # Runs are sharded up front, so every pending run is probed
+        # before the first dispatch.  Cache hits never reach an agent:
+        # they are staged here and delivered through the same pipeline
+        # as agent results, in index order.
+        pending = []
+        for index in range(total):
+            if index in completed:
+                continue
+            outcome = plan.probe(index)
+            if outcome is None:
+                pending.append(index)
+            else:
+                buffer.put(index, outcome)
         if not pending:
             buffer.drain()
             return
@@ -299,7 +302,7 @@ class DistScheduler:
         # resumed) journal already promised — and every cache hit staged
         # above — is delivered once and never re-persisted, no matter
         # how often an agent re-produces it.
-        delivered: Set[int] = set(completed) | set(cached)
+        delivered: Set[int] = set(range(total)) - set(pending)
         agent_count = min(self.agents, len(pending))
         states = {
             f"agent-{position:02d}": AgentState(f"agent-{position:02d}")

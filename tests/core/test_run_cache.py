@@ -12,13 +12,15 @@ must not know the cache exists).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
 import repro.core.scheduler as _scheduler
-from repro.cache import CODE_EPOCH, RunCache
+from repro.cache import CODE_EPOCH, RunCache, _canonical
 from repro.casestudy import run_case_study
 from repro.cli.main import main as cli_main
 from repro.core.scheduler import AttemptResult, RunOutcome
@@ -249,6 +251,14 @@ class TestResumeInterplay:
         self, tmp_path, monkeypatch, counted_runs,
     ):
         monkeypatch.setenv("POS_RUN_CACHE_DIR", str(tmp_path / "cache"))
+        probed = []
+        original_key = RunCache.key
+
+        def counting_key(self, describe, index, loop_instance):
+            probed.append(index)
+            return original_key(self, describe, index, loop_instance)
+
+        monkeypatch.setattr(RunCache, "key", counting_key)
         with pytest.raises(CrashRequested):
             run_case_study(
                 "pos", str(tmp_path / "crashed"),
@@ -272,9 +282,12 @@ class TestResumeInterplay:
         stores = [e["run"] for e in events if e["event"] == "cache.store"]
         assert sorted(stores) == [0, 1, 2, 3]  # each run stored exactly once
         misses = [e["run"] for e in events if e["event"] == "cache.miss"]
-        # First execution probed all four; the resume re-probed only the
-        # remainder (journal-adopted runs never reach the cache again).
-        assert sorted(misses) == sorted([0, 1, 2, 3] + sorted(remainder))
+        # Runs are probed when they are reached: the crashed execution
+        # probed only the runs it delivered, the resume only the
+        # remainder (journal-adopted runs never reach the cache again),
+        # so each run was probed exactly once across the two.
+        assert sorted(probed) == [0, 1, 2, 3]
+        assert misses == [0, 1, 2, 3]
         # A fresh execution is now fully warm: zero runs executed.
         counted_runs.clear()
         run_case_study("pos", str(tmp_path / "warm"), **SWEEP)
@@ -304,6 +317,36 @@ class TestRunCacheUnit:
         assert a.key(describe, 0, {"r": 1}) != c.key(describe, 0, {"r": 1})
         assert a.key(describe, 0, {"r": 1}) != a.key(describe, 1, {"r": 1})
         assert a.key(describe, 0, {"r": 1}) != a.key(describe, 0, {"r": 2})
+
+    def test_key_matches_whole_fingerprint_serialisation(self, tmp_path):
+        # Keys splice memoised fragments; they must equal the digest of
+        # the whole canonical fingerprint, or existing cache
+        # directories would stop hitting.
+        scope = {"code_epoch": CODE_EPOCH, "seed": 7,
+                 "testbed": {"nodes": ["dut", "lg"], "mtu": 1500.5}}
+        cache = RunCache(str(tmp_path), scope=scope)
+        describe = {
+            "name": "exp-ü→",
+            "roles": [{"node": "dut", "params": {"z": None, "a": [1, 2.5]}}],
+            "nested": {"b": {"y": True, "x": "Grüße"}, "a": []},
+        }
+        loops = [{}, {"pkt_rate": 100_000, "pkt_sz": 64},
+                 {"pkt_sz": 1500, "pkt_rate": 2.5e5},
+                 {"name": "naïve", "opts": {"b": [1, {"c": "é"}], "a": 0}}]
+        for index, loop in enumerate(loops * 2):
+            fingerprint = {"scope": cache.scope, "experiment": describe,
+                           "index": index, "loop": dict(loop)}
+            whole = hashlib.sha256(
+                _canonical(fingerprint).encode("utf-8")
+            ).hexdigest()
+            assert cache.key(describe, index, loop) == whole
+        # A different description object is serialised afresh.
+        other = dict(describe, name="other")
+        fingerprint = {"scope": cache.scope, "experiment": other,
+                       "index": 0, "loop": {}}
+        assert cache.key(other, 0, {}) == hashlib.sha256(
+            _canonical(fingerprint).encode("utf-8")
+        ).hexdigest()
 
     def test_store_lookup_roundtrip(self, tmp_path):
         cache = RunCache(str(tmp_path))
@@ -424,40 +467,105 @@ class TestSurfaces:
         assert load_report(cold_dir)["cache"] == load_side(cold_dir)["cache"]
 
     def test_cache_sidecar_identical_under_jobs_and_agents(
-        self, tmp_path, capsys, monkeypatch,
+        self, tmp_path, capsys,
     ):
-        # The evidence sidecar must tell the same hit/miss story no
-        # matter which execution plane served the sweep: warm serial,
-        # warm --jobs N and warm --agents N probe the same keys in the
-        # same run order, and `pos report` renders the section for all.
-        monkeypatch.setenv("POS_RUN_CACHE_DIR", str(tmp_path / "cache"))
+        # The evidence sidecar must tell the same story, record for
+        # record, no matter which execution plane served the sweep:
+        # each run's probe evidence is written when the run is
+        # delivered, in index order, directly before its store.
+        full = str(tmp_path / "full")
+        run_case_study("pos", str(tmp_path / "fill"), cache_dir=full, **SWEEP)
 
-        def hit_miss(root):
-            events = cache_events(root)
-            return (
-                sorted(e["run"] for e in events if e["event"] == "cache.hit"),
-                sorted(e["run"] for e in events if e["event"] == "cache.miss"),
-            )
+        def prefilled(name, keep):
+            cache_dir = str(tmp_path / f"cache-{name}")
+            shutil.copytree(full, cache_dir)
+            for entry in RunCache(cache_dir).entries():
+                if entry.manifest["index"] not in keep:
+                    shutil.rmtree(entry.path)
+            return cache_dir
 
-        run_case_study("pos", str(tmp_path / "cold"), **SWEEP)
-        run_case_study("pos", str(tmp_path / "warm-serial"), **SWEEP)
-        run_case_study("pos", str(tmp_path / "warm-jobs"), jobs=2, **SWEEP)
-        assert hit_miss(tmp_path / "warm-jobs") \
-            == hit_miss(tmp_path / "warm-serial") == ([0, 1, 2, 3], [])
+        executors = {"serial": {}, "jobs": {"jobs": 2}, "agents": {"agents": 2}}
+        expected = {
+            "cold": [(event, run) for run in range(4)
+                     for event in ("cache.miss", "cache.store")],
+            "warm": [("cache.hit", run) for run in range(4)],
+            "mixed": [("cache.hit", 0), ("cache.miss", 1), ("cache.store", 1),
+                      ("cache.hit", 2), ("cache.miss", 3), ("cache.store", 3)],
+        }
+        for state, keep in (("cold", ()), ("warm", (0, 1, 2, 3)),
+                            ("mixed", (0, 2))):
+            sidecars = {}
+            for name, kwargs in executors.items():
+                root = tmp_path / f"{state}-{name}"
+                run_case_study(
+                    "pos", str(root),
+                    cache_dir=prefilled(f"{state}-{name}", keep),
+                    **kwargs, **SWEEP,
+                )
+                path = os.path.join(find_result_dir(str(root)), "cache.jsonl")
+                with open(path, "rb") as handle:
+                    sidecars[name] = handle.read()
+            assert sidecars["jobs"] == sidecars["serial"], state
+            assert sidecars["agents"] == sidecars["serial"], state
+            events = cache_events(tmp_path / f"{state}-serial")
+            assert [(e["event"], e["run"]) for e in events] == expected[state]
 
-        run_case_study("vpos", str(tmp_path / "vcold"), **SWEEP)
-        run_case_study("vpos", str(tmp_path / "vwarm-serial"), **SWEEP)
-        run_case_study(
-            "vpos", str(tmp_path / "vwarm-agents"), agents=2, **SWEEP,
-        )
-        assert hit_miss(tmp_path / "vwarm-agents") \
-            == hit_miss(tmp_path / "vwarm-serial") == ([0, 1, 2, 3], [])
-
-        for warm in ("warm-jobs", "vwarm-agents"):
-            warm_dir = find_result_dir(str(tmp_path / warm))
+        for name in ("jobs", "agents"):
+            warm_dir = find_result_dir(str(tmp_path / f"warm-{name}"))
             assert cli_main(["report", "--results", warm_dir]) == 0
             out = capsys.readouterr().out
             assert "run cache: 4 hit(s), 0 miss(es)" in out
+
+    def test_first_result_costs_one_lookup(self, tmp_path, monkeypatch):
+        # A warm sweep probes each run when it is reached: the first
+        # run is delivered after one lookup, not after all of them.
+        cache_dir = str(tmp_path / "cache")
+        run_case_study("pos", str(tmp_path / "cold"), cache_dir=cache_dir,
+                       **SWEEP)
+        lookups = []
+        original_lookup = RunCache.lookup
+
+        def counting_lookup(self, key):
+            lookups.append(key)
+            return original_lookup(self, key)
+
+        monkeypatch.setattr(RunCache, "lookup", counting_lookup)
+        at_progress = []
+
+        def progress(done, total):
+            at_progress.append(len(lookups))
+
+        run_case_study("pos", str(tmp_path / "warm"), cache_dir=cache_dir,
+                       progress=progress, **SWEEP)
+        assert at_progress[0] == 1
+        assert len(lookups) == 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corrupt_record_sits_before_its_miss(self, tmp_path, jobs):
+        cache_dir = str(tmp_path / "cache")
+        run_case_study("pos", str(tmp_path / "cold"), cache_dir=cache_dir,
+                       **SWEEP)
+        victim = next(
+            entry for entry in RunCache(cache_dir).entries()
+            if entry.manifest["index"] == 2
+        )
+        with open(os.path.join(victim.path, "outcome.pkl"), "wb") as f:
+            f.write(b"garbage")
+        run_case_study("pos", str(tmp_path / "warm"), cache_dir=cache_dir,
+                       jobs=jobs, **SWEEP)
+        events = cache_events(tmp_path / "warm")
+        assert [(e["event"], e.get("run")) for e in events
+                if e["event"] != "cache.store"] == [
+            ("cache.hit", 0), ("cache.hit", 1), ("cache.corrupt", None),
+            ("cache.miss", 2), ("cache.hit", 3),
+        ]
+        corrupt = next(
+            position for position, event in enumerate(events)
+            if event["event"] == "cache.corrupt"
+        )
+        miss = events[corrupt + 1]
+        assert (miss["event"], miss["run"]) == ("cache.miss", 2)
+        assert events[corrupt]["key"] == miss["key"] == victim.key
 
     def test_run_cli_cache_flag(self, tmp_path, capsys, counted_runs):
         cache_dir = str(tmp_path / "cache")

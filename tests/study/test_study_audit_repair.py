@@ -214,14 +214,16 @@ class TestRepair:
             for cell, path in cells_before.items()
         }
         shutil.rmtree(victim)
-        repair_study(scratch)
+        repaired = repair_study(scratch)["repaired"]
+        # The re-created directory may reuse the freed inode, so the
+        # repair's own report says which experiment it touched.
+        assert repaired
+        assert {hole.get("cell") for hole in repaired} == {"cell-001"}
         inode_after = {
             cell: os.stat(path).st_ino
             for cell, path in experiment_dirs(scratch, 0).items()
         }
         for cell, inode in inode_before.items():
-            if cell == "cell-001":
-                assert inode_after[cell] != inode
-            else:
+            if cell != "cell-001":
                 assert inode_after[cell] == inode
         assert tree_snapshot(scratch) == tree_snapshot(baseline)
