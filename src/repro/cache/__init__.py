@@ -219,9 +219,27 @@ class RunCache:
             return None
 
     def _corrupt(self, key: str) -> None:
-        """An entry exists but cannot be trusted: degrade to a miss, loudly."""
+        """An entry exists but cannot be trusted: degrade to a miss, loudly.
+
+        The entry is renamed aside (atomically, so no reader sees it
+        half removed) and deleted, so the run's next :meth:`store`
+        writes a fresh one.  Losing the rename to a concurrent process
+        is fine: that process removed or replaced it.
+        """
         if self.evidence is not None:
             self.evidence("cache.corrupt", key=key)
+        entry_dir = self._entry_dir(key)
+        try:
+            aside = tempfile.mkdtemp(
+                prefix=".corrupt-", dir=os.path.dirname(entry_dir)
+            )
+        except OSError:
+            return  # a read-only cache keeps the entry; it stays a miss
+        try:
+            os.rename(entry_dir, os.path.join(aside, key))
+        except OSError:
+            pass
+        shutil.rmtree(aside, ignore_errors=True)
 
     @staticmethod
     def storable(outcome) -> bool:
@@ -287,7 +305,7 @@ class RunCache:
                 continue
             for key in sorted(os.listdir(prefix_dir)):
                 if key.startswith("."):
-                    continue  # an abandoned staging dir
+                    continue  # an abandoned staging or set-aside dir
                 entry_dir = os.path.join(prefix_dir, key)
                 manifest_path = os.path.join(entry_dir, MANIFEST_NAME)
                 try:

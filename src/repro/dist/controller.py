@@ -308,7 +308,10 @@ class DistScheduler:
             f"agent-{position:02d}": AgentState(f"agent-{position:02d}")
             for position in range(agent_count)
         }
-        shards = deque(shard_runs(pending, agent_count))
+        # Each initial shard waits for the agent it was spawned for;
+        # only a death releases it to the strays any agent may take.
+        reserved = dict(zip(sorted(states), shard_runs(pending, agent_count)))
+        shards: deque = deque()
         orphans: List[int] = []
         redispatches: Dict[int, int] = {}
         controller_seq = 0
@@ -398,6 +401,8 @@ class DistScheduler:
         def on_death(state: AgentState, reason: str) -> None:
             if state.quarantined:
                 return
+            if state.agent_id in reserved:
+                shards.append(reserved.pop(state.agent_id))
             was_registered = state.registered
             state.registered = False
             state.lease_expires = None
@@ -451,7 +456,9 @@ class DistScheduler:
                 send(state.agent_id, "lease", {
                     "ttl": self.lease_ttl, "generation": generation,
                 })
-                if not state.assigned and shards:
+                if state.agent_id in reserved:
+                    give(state, reserved.pop(state.agent_id), reason="shard")
+                elif not state.assigned and shards:
                     give(state, shards.popleft(), reason="shard")
             elif env.kind == "heartbeat":
                 if (

@@ -10,6 +10,7 @@ aggregate specific parameters and values."
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -23,7 +24,28 @@ __all__ = [
     "ExperimentResults",
     "load_experiment",
     "extract_command_output",
+    "is_evaluation_input",
 ]
+
+#: Top-level files :func:`load_experiment` reads: metadata, variables,
+#: inventory.
+_TOP_LEVEL_INPUTS = ("experiment.yml", "variables.yml", "inventory.yml")
+
+
+def is_evaluation_input(relative: str) -> bool:
+    """Whether :func:`load_experiment` reads the file at ``relative``.
+
+    ``relative`` is a ``/``-separated path under the result folder.
+    The loader reads the three top-level YAML files, each run folder's
+    ``metadata.yml``, and every file directly inside a run folder's
+    role directories — nothing else.
+    """
+    parts = relative.split("/")
+    if len(parts) == 1:
+        return relative in _TOP_LEVEL_INPUTS
+    if not parts[0].startswith("run-"):
+        return False
+    return len(parts) == 3 or (len(parts) == 2 and parts[1] == "metadata.yml")
 
 
 def extract_command_output(commands_log: str, command_name: str) -> Optional[str]:
@@ -115,6 +137,9 @@ class ExperimentResults:
     #: Earlier attempts of runs that were later retried (failure
     #: evidence from recovery/resume); never mixed into :attr:`runs`.
     superseded: List[RunResult] = field(default_factory=list)
+    #: ``/``-separated relative path → SHA-256 of every file
+    #: :func:`load_experiment` read; None for results built otherwise.
+    digests: Optional[Dict[str, str]] = None
 
     @property
     def name(self) -> str:
@@ -141,40 +166,58 @@ class ExperimentResults:
         return seen
 
 
-def _load_yaml_if_present(path: str) -> dict:
+def _read_text(results: ExperimentResults, relative: str) -> Optional[str]:
+    """The text of one file under the result folder, or None.
+
+    Records the SHA-256 of the bytes read, then decodes them as text
+    mode would (UTF-8, universal newlines).
+    """
+    path = os.path.join(results.path, relative)
     if not os.path.isfile(path):
-        return {}
-    loaded = yamlite.load_file(path)
+        return None
+    with open(path, "rb") as handle:
+        data = handle.read()
+    results.digests[relative] = hashlib.sha256(data).hexdigest()
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _parse_yaml(text: Optional[str]) -> dict:
+    loaded = yamlite.loads(text) if text is not None else None
     return loaded if isinstance(loaded, dict) else {}
 
 
-def _load_role_dirs(run_path: str, run: RunResult) -> None:
-    for entry in sorted(os.listdir(run_path)):
-        role_path = os.path.join(run_path, entry)
+def _load_role_dirs(results: ExperimentResults, entry: str, run: RunResult) -> None:
+    run_path = os.path.join(results.path, entry)
+    for role in sorted(os.listdir(run_path)):
+        role_path = os.path.join(run_path, role)
         if not os.path.isdir(role_path):
             continue
         files: Dict[str, str] = {}
         for filename in sorted(os.listdir(role_path)):
-            file_path = os.path.join(role_path, filename)
-            if not os.path.isfile(file_path):
+            text = _read_text(results, f"{entry}/{role}/{filename}")
+            if text is None:
                 continue
             if filename == "status.yml":
-                run.status[entry] = _load_yaml_if_present(file_path)
-                continue
-            with open(file_path, "r", encoding="utf-8") as handle:
-                files[filename] = handle.read()
-        run.outputs[entry] = files
+                run.status[role] = _parse_yaml(text)
+            else:
+                files[filename] = text
+        run.outputs[role] = files
 
 
 def load_experiment(path: str) -> ExperimentResults:
-    """Load one experiment result folder (the ``[timestamp]`` directory)."""
+    """Load one experiment result folder (the ``[timestamp]`` directory).
+
+    The loaded results carry the digest of every file read
+    (:attr:`ExperimentResults.digests`); :func:`is_evaluation_input`
+    names the same files from a path alone.
+    """
     if not os.path.isdir(path):
         raise ResultError(f"no such result folder: {path}")
     results = ExperimentResults(
-        path=path,
-        metadata=_load_yaml_if_present(os.path.join(path, "experiment.yml")),
-        variables=_load_yaml_if_present(os.path.join(path, "variables.yml")),
-        inventory=_load_yaml_if_present(os.path.join(path, "inventory.yml")),
+        path=path, metadata={}, variables={}, inventory={}, digests={},
+    )
+    results.metadata, results.variables, results.inventory = (
+        _parse_yaml(_read_text(results, name)) for name in _TOP_LEVEL_INPUTS
     )
     run_entries = sorted(
         entry for entry in os.listdir(path)
@@ -186,14 +229,13 @@ def load_experiment(path: str) -> ExperimentResults:
     # failure evidence so an evaluation never double-counts an index.
     by_index: Dict[int, List[RunResult]] = {}
     for entry in run_entries:
-        run_path = os.path.join(path, entry)
-        metadata = _load_yaml_if_present(os.path.join(run_path, "metadata.yml"))
+        metadata = _parse_yaml(_read_text(results, f"{entry}/metadata.yml"))
         index = int(metadata.get("run", _index_from_name(entry)))
         attempt = int(metadata.get("attempt", _attempt_from_name(entry)))
         run = RunResult(
             index=index, loop=dict(metadata.get("loop", {})), attempt=attempt
         )
-        _load_role_dirs(run_path, run)
+        _load_role_dirs(results, entry, run)
         by_index.setdefault(index, []).append(run)
     for index in sorted(by_index):
         attempts = sorted(by_index[index], key=lambda run: run.attempt)

@@ -9,9 +9,13 @@ svg/tex/pdf in a ``figures`` folder.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core import yamlite
 from repro.core.errors import EvaluationError
 from repro.evaluation.aggregate import series_from_runs
 from repro.evaluation.loader import ExperimentResults
@@ -24,7 +28,99 @@ __all__ = [
     "loss_figure",
     "latency_samples_us",
     "plot_experiment",
+    "current_figures",
+    "MEMO_NAME",
 ]
+
+#: The plot memo :func:`plot_experiment` leaves in its output folder:
+#: what the pass read, how it plotted, and what it wrote.  It describes
+#: one plot pass, not the experiment, so no artifact listing includes it.
+MEMO_NAME = ".plot-memo.json"
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> Optional[str]:
+    """SHA-256 over the sources of the evaluation code, or None.
+
+    Covers every module of :mod:`repro.evaluation` and
+    :mod:`repro.core.yamlite`.  None when a source cannot be read: a
+    memo keyed on None never matches.
+    """
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    sources = [yamlite.__file__ or ""]
+    for directory, subdirectories, files in os.walk(package):
+        subdirectories[:] = sorted(
+            name for name in subdirectories if name != "__pycache__"
+        )
+        sources.extend(
+            os.path.join(directory, name) for name in sorted(files)
+            if name.endswith(".py")
+        )
+    try:
+        for source in sources:
+            with open(source, "rb") as handle:
+                data = handle.read()
+            digest.update(os.path.relpath(source, package).encode("utf-8"))
+            digest.update(hashlib.sha256(data).digest())
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _sha256_file(path: str) -> Optional[str]:
+    try:
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+    except OSError:
+        return None
+
+
+def _memo_key(inputs, formats, x_var, group_var, role) -> dict:
+    """The part of a memo that decides whether its figures are current."""
+    return {
+        "code": code_fingerprint(),
+        "inputs": inputs,
+        "formats": list(formats),
+        "options": {"x_var": x_var, "group_var": group_var, "role": role},
+    }
+
+
+def current_figures(
+    result_path: str,
+    inputs: Dict[str, str],
+    formats: Sequence[str] = ("svg", "tex", "pdf"),
+    x_var: str = "pkt_rate",
+    group_var: str = "pkt_sz",
+    role: str = "loadgen",
+) -> Optional[List[str]]:
+    """The figures a plot pass over ``inputs`` would write, if current.
+
+    ``inputs`` maps every evaluation input of the result folder to its
+    SHA-256.  Returns the list :func:`plot_experiment` would return
+    when ``<result_path>/figures`` holds a memo with these inputs,
+    formats, plot options and evaluation code, and every figure the
+    memo names still has the digest it was written with.  Otherwise
+    None: the figures must be plotted again.
+    """
+    output_dir = os.path.join(result_path, "figures")
+    try:
+        with open(os.path.join(output_dir, MEMO_NAME), encoding="utf-8") as handle:
+            memo = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    key = _memo_key(inputs, formats, x_var, group_var, role)
+    if key["code"] is None or not isinstance(memo, dict):
+        return None
+    if {name: memo.get(name) for name in key} != key:
+        return None
+    figures: List[str] = []
+    for name, digest in memo.get("figures") or ():
+        path = os.path.join(output_dir, name)
+        if digest is None or _sha256_file(path) != digest:
+            return None
+        figures.append(path)
+    return figures
 
 
 def loss_figure(
@@ -139,6 +235,9 @@ def plot_experiment(
     experiment actually collected latency histograms — on vpos, where
     virtio NICs lack hardware timestamping, only throughput figures
     appear, mirroring Appendix A.
+
+    Last, the pass leaves its memo (:data:`MEMO_NAME`) in the output
+    folder, for :func:`current_figures`.
     """
     output_dir = output_dir or os.path.join(results.path, "figures")
     written: List[str] = []
@@ -194,4 +293,15 @@ def plot_experiment(
                 formats,
             )
         )
+    _write_memo(results, output_dir, written, formats, x_var, group_var, role)
     return written
+
+
+def _write_memo(results, output_dir, written, formats, x_var, group_var, role):
+    memo = _memo_key(results.digests, formats, x_var, group_var, role)
+    memo["figures"] = [
+        [os.path.relpath(path, output_dir), _sha256_file(path)]
+        for path in written
+    ]
+    with open(os.path.join(output_dir, MEMO_NAME), "w", encoding="utf-8") as handle:
+        json.dump(memo, handle, sort_keys=True)

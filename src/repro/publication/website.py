@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import html
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import yamlite
 from repro.core.errors import PublicationError
+from repro.publication.bundle import list_files, place_file
 
 __all__ = [
     "generate_readme",
@@ -71,35 +72,32 @@ def _human_size(size: int) -> str:
     return f"{size:.1f} GiB"
 
 
-def _collect(root: str) -> Dict[str, List[str]]:
-    """Group artifact files: top-level, setup, figures, and per run.
+def _collect(files) -> Dict[str, List[Tuple[str, int]]]:
+    """Group a :func:`~repro.publication.bundle.list_files` listing as
+    ``(path, size)``: top-level, setup, figures, and per run.
 
     The index pages themselves are left out: a page cannot list its own
     final size, and listing the other page would change on re-publish.
     """
-    groups: Dict[str, List[str]] = {"experiment": [], "setup": [], "figures": []}
-    for directory, __, files in sorted(os.walk(root)):
-        relative_dir = os.path.relpath(directory, root)
-        for name in sorted(files):
-            if relative_dir == "." and name in ("README.md", "index.html"):
-                continue
-            relative = (
-                name if relative_dir == "." else f"{relative_dir}/{name}"
-            ).replace(os.sep, "/")
-            if relative_dir == ".":
-                groups["experiment"].append(relative)
-            elif relative.startswith("setup/"):
-                groups["setup"].append(relative)
-            elif relative.startswith("figures/"):
-                groups["figures"].append(relative)
-            else:
-                top = relative.split("/", 1)[0]
-                groups.setdefault(top, []).append(relative)
+    groups: Dict[str, List[Tuple[str, int]]] = {
+        "experiment": [], "setup": [], "figures": [],
+    }
+    for relative, __, size in files:
+        if "/" not in relative:
+            if relative not in ("README.md", "index.html"):
+                groups["experiment"].append((relative, size))
+        elif relative.startswith("setup/"):
+            groups["setup"].append((relative, size))
+        elif relative.startswith("figures/"):
+            groups["figures"].append((relative, size))
+        else:
+            top = relative.split("/", 1)[0]
+            groups.setdefault(top, []).append((relative, size))
     return groups
 
 
 def generate_readme(root: str, repository_url: Optional[str] = None,
-                    groups: Optional[Dict[str, List[str]]] = None) -> str:
+                    groups: Optional[Dict[str, List[Tuple[str, int]]]] = None) -> str:
     """Render the artifact index as Markdown.
 
     ``groups`` is the tree's :func:`_collect` listing when the caller
@@ -110,7 +108,7 @@ def generate_readme(root: str, repository_url: Optional[str] = None,
     metadata = _load_yaml(os.path.join(root, "experiment.yml"))
     variables = _load_yaml(os.path.join(root, "variables.yml"))
     if groups is None:
-        groups = _collect(root)
+        groups = _collect(list_files(root))
 
     lines: List[str] = []
     name = metadata.get("name", os.path.basename(root))
@@ -143,7 +141,7 @@ def generate_readme(root: str, repository_url: Optional[str] = None,
     if groups.get("figures"):
         lines.append("## Figures")
         lines.append("")
-        for path in groups["figures"]:
+        for path, __ in groups["figures"]:
             if path.endswith(".svg"):
                 lines.append(f"![{os.path.basename(path)}]({path})")
         lines.append("")
@@ -152,9 +150,8 @@ def generate_readme(root: str, repository_url: Optional[str] = None,
     lines.append("| file | size |")
     lines.append("|------|------|")
     for group_name in sorted(groups):
-        for path in groups[group_name]:
-            full = os.path.join(root, path)
-            lines.append(f"| [{path}]({path}) | {_human_size(os.path.getsize(full))} |")
+        for path, size in groups[group_name]:
+            lines.append(f"| [{path}]({path}) | {_human_size(size)} |")
     lines.append("")
     lines.append(
         "_Generated by the pos-reproduction publication tooling; every "
@@ -165,11 +162,11 @@ def generate_readme(root: str, repository_url: Optional[str] = None,
 
 
 def generate_html(root: str, repository_url: Optional[str] = None,
-                  groups: Optional[Dict[str, List[str]]] = None) -> str:
+                  groups: Optional[Dict[str, List[Tuple[str, int]]]] = None) -> str:
     """Render the artifact index as a standalone HTML page."""
     metadata = _load_yaml(os.path.join(root, "experiment.yml"))
     if groups is None:
-        groups = _collect(root)
+        groups = _collect(list_files(root))
     name = html.escape(str(metadata.get("name", os.path.basename(root))))
     parts: List[str] = [
         "<!DOCTYPE html>",
@@ -187,7 +184,7 @@ def generate_html(root: str, repository_url: Optional[str] = None,
         parts.append(f'<p>Released at: <a href="{url}">{url}</a></p>')
     if groups.get("figures"):
         parts.append("<h2>Figures</h2>")
-        for path in groups["figures"]:
+        for path, __ in groups["figures"]:
             if path.endswith(".svg"):
                 parts.append(f'<p><img src="{html.escape(path)}" alt="{html.escape(path)}"></p>')
     if os.path.isfile(os.path.join(root, "dashboard.html")):
@@ -198,12 +195,11 @@ def generate_html(root: str, repository_url: Optional[str] = None,
     parts.append("<h2>Artifact index</h2>")
     parts.append("<table><tr><th>file</th><th>size</th></tr>")
     for group_name in sorted(groups):
-        for path in groups[group_name]:
-            full = os.path.join(root, path)
+        for path, size in groups[group_name]:
             escaped = html.escape(path)
             parts.append(
                 f'<tr><td><a href="{escaped}">{escaped}</a></td>'
-                f"<td>{_human_size(os.path.getsize(full))}</td></tr>"
+                f"<td>{_human_size(size)}</td></tr>"
             )
     parts.append("</table></body></html>")
     return "\n".join(parts) + "\n"
@@ -573,26 +569,37 @@ def generate_dashboard(
     return "\n".join(parts) + "\n"
 
 
-def generate_website(root: str, repository_url: Optional[str] = None) -> List[str]:
+def generate_website(root: str, repository_url: Optional[str] = None,
+                     files=None) -> List[str]:
     """Write README.md, index.html and (when the folder carries the
-    telemetry artifacts) dashboard.html into the result folder."""
+    telemetry artifacts) dashboard.html into the result folder.
+
+    ``files`` is the tree's :func:`~repro.publication.bundle.list_files`
+    listing when the caller already has it; every page written enters
+    it with its size.
+    """
     if not os.path.isdir(root):
         raise PublicationError(f"no such result folder: {root}")
+    if files is None:
+        files = list_files(root)
     written: List[str] = []
     dashboard = generate_dashboard(root, repository_url)
     if dashboard is not None:
         dashboard_path = os.path.join(root, "dashboard.html")
         with open(dashboard_path, "w", encoding="utf-8") as handle:
             handle.write(dashboard)
+        place_file(files, root, "dashboard.html")
     readme_path = os.path.join(root, "README.md")
     html_path = os.path.join(root, "index.html")
-    # Both pages leave themselves out of the listing, so one walk
+    # Both pages leave themselves out of the listing, so one grouping
     # serves both.
-    groups = _collect(root)
+    groups = _collect(files)
     with open(readme_path, "w", encoding="utf-8") as handle:
         handle.write(generate_readme(root, repository_url, groups))
     with open(html_path, "w", encoding="utf-8") as handle:
         handle.write(generate_html(root, repository_url, groups))
+    place_file(files, root, "README.md")
+    place_file(files, root, "index.html")
     written.extend([readme_path, html_path])
     if dashboard is not None:
         written.append(dashboard_path)

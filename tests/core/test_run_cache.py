@@ -566,6 +566,19 @@ class TestSurfaces:
         miss = events[corrupt + 1]
         assert (miss["event"], miss["run"]) == ("cache.miss", 2)
         assert events[corrupt]["key"] == miss["key"] == victim.key
+        # The corrupt entry was set aside, so the miss is stored afresh
+        # and the next execution is served from the cache in full.
+        store = events[corrupt + 2]
+        assert (store["event"], store["run"]) == ("cache.store", 2)
+        assert RunCache(cache_dir).verify() == {
+            "ok": sorted(entry.key for entry in RunCache(cache_dir).entries()),
+            "corrupt": [],
+        }
+        run_case_study("pos", str(tmp_path / "third"), cache_dir=cache_dir,
+                       jobs=jobs, **SWEEP)
+        assert [(e["event"], e["run"]) for e in cache_events(tmp_path / "third")] == [
+            ("cache.hit", run) for run in range(4)
+        ]
 
     def test_run_cli_cache_flag(self, tmp_path, capsys, counted_runs):
         cache_dir = str(tmp_path / "cache")

@@ -152,6 +152,33 @@ class TestCrashSchedules:
         ]
         assert delivered_by.count("agent-01") == 4
 
+    def test_initial_shard_waits_for_its_late_agent(
+        self, tmp_path, serial_tree,
+    ):
+        # agent-00's first registrations are lost, so agent-01 holds a
+        # lease first.  agent-00's shard still waits for agent-00: the
+        # kill aimed at it strikes, and its work is redispatched.
+        plan = FaultPlan([
+            FaultSpec(kind="transport", operation="drop:register",
+                      node="agent-00", times=2),
+            FaultSpec(kind="agent", operation="kill", node="agent-00", times=1),
+        ])
+        root = str(tmp_path / "late")
+        run_case_study("vpos", root, agents=2, dist_fault_plan=plan, **KWARGS)
+        assert dist_tree(root) == serial_tree
+        events = dispatch_events(root)
+        registered = [e["agent"] for e in events if e["event"] == "register"]
+        assert registered[:2] == ["agent-01", "agent-00"]
+        assert any(
+            event["event"] == "dispatch" and event["agent"] == "agent-00"
+            and event["reason"] == "shard"
+            for event in events
+        )
+        assert any(
+            event["event"] == "agent-dead" and event["agent"] == "agent-00"
+            for event in events
+        )
+
     def test_chaos_stays_out_of_the_inventory(self, tmp_path):
         # The chaos plan must never leak into the experiment artifacts:
         # inventory.json documents the in-world plan only.

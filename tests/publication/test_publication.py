@@ -12,6 +12,7 @@ from repro.core.errors import PublicationError
 from repro.publication.bundle import (
     build_manifest,
     bundle_artifacts,
+    list_files,
     verify_bundle,
 )
 from repro.publication.publish import publish
@@ -95,14 +96,27 @@ class TestBundle:
     def test_streamed_archive_matches_buffered_construction(
         self, artifact_tree, tmp_path,
     ):
-        """The streamed archive equals the tar-in-memory-then-gzip one
-        byte for byte: same members, order, headers and compression."""
+        """The streamed archive equals the one ``tarfile`` builds in
+        memory from ``sorted(os.walk())``, then gzips, byte for byte:
+        same members, order, headers and compression."""
         nested = artifact_tree / "run-001" / "dut" / "deep"
         nested.mkdir(parents=True)
         (nested / "empty.txt").write_bytes(b"")
         (artifact_tree / "run-001" / "big.bin").write_bytes(
             bytes(range(256)) * 300 + b"tail"
         )
+        # A retry folder sorts before its sibling's subfolders
+        # ("run-000-retry" < "run-000/loadgen").
+        retry = artifact_tree / "run-000-retry" / "loadgen"
+        retry.mkdir(parents=True)
+        (retry / "moongen.log").write_text("retried\n")
+        (artifact_tree / "run-000" / "loadgen" / "Prüfung-µs.txt").write_text(
+            "non-ascii name\n", encoding="utf-8",
+        )
+        long_dir = artifact_tree / "run-001" / ("d" * 60)
+        long_dir.mkdir()
+        (long_dir / ("f" * 60 + ".log")).write_text("pax header\n")
+        (artifact_tree / "run-001" / "zero.log").write_bytes(b"")
         streamed = str(tmp_path / "streamed.tar.gz")
         bundle_artifacts(str(artifact_tree), streamed)
 
@@ -112,16 +126,21 @@ class TestBundle:
         root = str(artifact_tree)
         prefix = os.path.basename(root)
         buffer = io.BytesIO()
+        names = []
         with tarfile.open(fileobj=buffer, mode="w") as tar:
-            for entry in build_manifest(root):
-                info = tarfile.TarInfo(name=f"{prefix}/{entry['path']}")
-                info.size = int(entry["size"])
-                info.mtime = 1638835200
-                info.uid = info.gid = 0
-                info.uname = info.gname = "pos"
-                info.mode = 0o644
-                with open(os.path.join(root, entry["path"]), "rb") as handle:
-                    tar.addfile(info, handle)
+            for directory, __, files in sorted(os.walk(root)):
+                for name in sorted(files):
+                    path = os.path.join(directory, name)
+                    relative = os.path.relpath(path, root)
+                    names.append(relative)
+                    info = tarfile.TarInfo(name=f"{prefix}/{relative}")
+                    info.size = os.path.getsize(path)
+                    info.mtime = 1638835200
+                    info.uid = info.gid = 0
+                    info.uname = info.gname = "pos"
+                    info.mode = 0o644
+                    with open(path, "rb") as handle:
+                        tar.addfile(info, handle)
         buffered = str(tmp_path / "buffered.tar.gz")
         with open(buffered, "wb") as out:
             with gzip.GzipFile(filename="", fileobj=out, mode="wb",
@@ -129,8 +148,32 @@ class TestBundle:
                 gz.write(buffer.getvalue())
         with open(streamed, "rb") as fa, open(buffered, "rb") as fb:
             assert fa.read() == fb.read()
+        assert names.index("run-000-retry/loadgen/moongen.log") < names.index(
+            "run-000/loadgen/moongen.log"
+        )
+        assert any(len(f"{prefix}/{name}".encode()) > 100 for name in names)
         assert os.path.getsize(nested / "empty.txt") == 0
         assert os.path.getsize(artifact_tree / "run-001" / "big.bin") > 65536
+        with tarfile.open(streamed) as tar:
+            assert f"{prefix}/run-000/loadgen/Prüfung-µs.txt" in tar.getnames()
+
+    def test_listing_follows_sorted_walk(self, artifact_tree):
+        (artifact_tree / "run-000-retry" / "dut").mkdir(parents=True)
+        (artifact_tree / "run-000-retry" / "dut" / "a.log").write_text("a")
+        (artifact_tree / "run-000" / "dut").mkdir()
+        (artifact_tree / "run-000" / "dut" / "b.log").write_text("bb")
+        root = str(artifact_tree)
+        walked = [
+            os.path.relpath(os.path.join(directory, name), root)
+            for directory, __, files in sorted(os.walk(root))
+            for name in sorted(files)
+        ]
+        listing = list_files(root)
+        assert [relative for relative, __, __ in listing] == walked
+        assert all(
+            size == os.path.getsize(path) and path == os.path.join(root, relative)
+            for relative, path, size in listing
+        )
 
     def test_verify_round_trip(self, artifact_tree, tmp_path):
         archive = str(tmp_path / "release.tar.gz")
@@ -254,3 +297,190 @@ class TestPublish:
     def test_archive_path_default_next_to_folder(self, artifact_tree):
         report = publish(str(artifact_tree), make_plots=False)
         assert report.archive_path == str(artifact_tree) + ".tar.gz"
+
+
+@pytest.fixture(scope="module")
+def evaluated_source(tmp_path_factory):
+    """A real two-run result tree, never evaluated or published."""
+    from repro.casestudy import run_case_study
+
+    handle = run_case_study(
+        "pos", str(tmp_path_factory.mktemp("source")),
+        rates=[500_000, 1_000_000], sizes=(64,),
+        duration_s=0.02, interval_s=0.01,
+    )
+    return handle.result_path
+
+
+class TestFigureReuse:
+    """``publish`` reuses the figures a plot pass left when its memo
+    still matches the tree, and plots again on any mismatch."""
+
+    @pytest.fixture
+    def tree(self, evaluated_source, tmp_path):
+        import shutil
+
+        root = str(tmp_path / "copy" / os.path.basename(evaluated_source))
+        shutil.copytree(evaluated_source, root)
+        return root
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import importlib
+
+        # The package exports the function under the module's name.
+        publish_module = importlib.import_module("repro.publication.publish")
+        counted = {"load": 0, "plot": 0}
+        load, plot = publish_module.load_experiment, publish_module.plot_experiment
+
+        def counting_load(*args, **kwargs):
+            counted["load"] += 1
+            return load(*args, **kwargs)
+
+        def counting_plot(*args, **kwargs):
+            counted["plot"] += 1
+            return plot(*args, **kwargs)
+
+        monkeypatch.setattr(publish_module, "load_experiment", counting_load)
+        monkeypatch.setattr(publish_module, "plot_experiment", counting_plot)
+        return counted
+
+    @staticmethod
+    def evaluate(root, formats=("svg", "tex", "pdf")):
+        from repro.evaluation.loader import load_experiment
+        from repro.evaluation.plotter import plot_experiment
+
+        return plot_experiment(load_experiment(root), formats=formats)
+
+    @staticmethod
+    def outputs(root):
+        from repro.publication.publish import PUBLICATION_OUTPUTS
+
+        files = {}
+        for path in [os.path.join(root, name) for name in PUBLICATION_OUTPUTS] + [
+            root + ".tar.gz"
+        ]:
+            with open(path, "rb") as handle:
+                files[os.path.basename(path)] = handle.read()
+        return files
+
+    def test_unchanged_evaluate_is_reused(self, tree, calls):
+        figures = self.evaluate(tree)
+        report = publish(tree)
+        assert calls == {"load": 0, "plot": 0}
+        assert report.figures == figures
+
+    def test_publish_alone_and_after_evaluate_match(
+        self, evaluated_source, tmp_path,
+    ):
+        import shutil
+
+        name = os.path.basename(evaluated_source)
+        alone = str(tmp_path / "alone" / name)
+        after = str(tmp_path / "after" / name)
+        shutil.copytree(evaluated_source, alone)
+        shutil.copytree(evaluated_source, after)
+        self.evaluate(after)
+        assert publish(alone).figures  # plotted here, memo left behind
+        publish(after)
+        assert self.outputs(alone) == self.outputs(after)
+        # A second publish of either tree reuses and changes nothing.
+        first = self.outputs(alone)
+        publish(alone)
+        assert self.outputs(alone) == first
+
+    def test_memo_is_never_published(self, tree):
+        from repro.evaluation.plotter import MEMO_NAME
+
+        self.evaluate(tree)
+        publish(tree)
+        assert os.path.isfile(os.path.join(tree, "figures", MEMO_NAME))
+        assert verify_bundle(tree + ".tar.gz", tree)
+        with tarfile.open(tree + ".tar.gz") as tar:
+            assert not any(name.endswith(MEMO_NAME) for name in tar.getnames())
+        manifest = yamlite.load_file(os.path.join(tree, "MANIFEST.yml"))
+        assert not any(e["path"].endswith(MEMO_NAME) for e in manifest["files"])
+        for page in ("README.md", "index.html"):
+            with open(os.path.join(tree, page), encoding="utf-8") as handle:
+                assert MEMO_NAME not in handle.read()
+
+    def _replots(self, tree, calls, **publish_kwargs):
+        report = publish(tree, **publish_kwargs)
+        assert calls == {"load": 1, "plot": 1}
+        return report
+
+    def test_edited_input_replots(self, tree, calls):
+        self.evaluate(tree)
+        with open(os.path.join(tree, "run-000", "loadgen", "pos.log"), "a") as f:
+            f.write("edited\n")
+        self._replots(tree, calls)
+
+    def test_added_run_replots(self, tree, calls):
+        import shutil
+
+        self.evaluate(tree)
+        shutil.copytree(os.path.join(tree, "run-001"),
+                        os.path.join(tree, "run-001-retry"))
+        self._replots(tree, calls)
+
+    def test_removed_run_replots(self, tree, calls):
+        import shutil
+
+        self.evaluate(tree)
+        shutil.rmtree(os.path.join(tree, "run-001"))
+        self._replots(tree, calls)
+
+    def test_missing_figure_replots(self, tree, calls):
+        self.evaluate(tree)
+        missing = os.path.join(tree, "figures", "throughput.svg")
+        os.remove(missing)
+        self._replots(tree, calls)
+        assert os.path.isfile(missing)
+
+    def test_edited_figure_replots(self, tree, calls):
+        figures = self.evaluate(tree)
+        with open(figures[0], "a", encoding="utf-8") as handle:
+            handle.write("edited")
+        self._replots(tree, calls)
+
+    def test_other_formats_replot(self, tree, calls):
+        self.evaluate(tree, formats=("svg",))
+        report = self._replots(tree, calls)
+        assert {os.path.splitext(path)[1] for path in report.figures} == {
+            ".svg", ".tex", ".pdf",
+        }
+
+    def test_other_code_replots(self, tree, calls, monkeypatch):
+        from repro.evaluation import plotter
+
+        self.evaluate(tree)
+        monkeypatch.setattr(plotter, "code_fingerprint", lambda: "0" * 64)
+        self._replots(tree, calls)
+
+    def test_unreadable_code_never_matches(self, tree, calls, monkeypatch):
+        from repro.evaluation import plotter
+
+        monkeypatch.setattr(plotter, "code_fingerprint", lambda: None)
+        self.evaluate(tree)
+        self._replots(tree, calls)
+
+    def test_loader_digests_match_the_input_predicate(self, tree):
+        import hashlib
+        import shutil
+
+        from repro.evaluation.loader import is_evaluation_input, load_experiment
+
+        shutil.copytree(os.path.join(tree, "run-000"),
+                        os.path.join(tree, "run-000-retry"))
+        self.evaluate(tree)
+        results = load_experiment(tree)
+        listed = {
+            relative: path for relative, path, __ in list_files(tree)
+            if is_evaluation_input(relative)
+        }
+        assert set(results.digests) == set(listed)
+        for relative, path in listed.items():
+            with open(path, "rb") as handle:
+                assert results.digests[relative] == hashlib.sha256(
+                    handle.read()
+                ).hexdigest()
