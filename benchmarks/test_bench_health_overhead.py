@@ -83,9 +83,10 @@ def test_bench_health_overhead(tmp_path_factory):
 
     # Health artifacts exist exactly when the plane is on.
     assert os.path.isfile(os.path.join(on_handle.result_path, "health.json"))
-    assert os.path.isfile(
-        os.path.join(on_handle.result_path, "run-000", "health.json")
-    )
+    with open(os.path.join(on_handle.result_path, "journal.jsonl")) as journal:
+        records = [json.loads(line) for line in journal]
+    runs = [record for record in records if record["event"] == "run"]
+    assert runs and all("health" in run for run in runs)
     assert not os.path.isfile(
         os.path.join(off_handle.result_path, "health.json")
     )

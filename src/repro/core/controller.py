@@ -555,11 +555,7 @@ class Controller:
                 )
                 handle.runs.append(record)
                 if log is not None:
-                    if completed[index].get("dir"):
-                        log.adopt_run(
-                            index,
-                            os.path.join(exp_dir.path, completed[index]["dir"]),
-                        )
+                    log.adopt_run(completed[index])
                     log.event(
                         f"run {index}: {loop_instance} -> ok (adopted from journal)"
                     )
@@ -601,19 +597,17 @@ class Controller:
             record, run_dir = _scheduler.persist_outcome(exp_dir, outcome, log)
             cache_plan.settle(index, outcome)
             handle.runs.append(record)
-            if log is not None:
-                # The run's telemetry snapshot must be durable before the
-                # journal promises the run: an adopted run on resume
-                # replays its spans and metrics from this file.
-                log.merge_run(
-                    index, outcome.telemetry, run_dir.path,
-                    health=outcome.health,
-                )
+            # The run's evidence goes into its journal record: an adopted
+            # run on resume replays its spans, metrics and health from it.
+            evidence = (
+                log.merge_run(index, outcome.telemetry, health=outcome.health)
+                if log is not None else {}
+            )
             if journal is not None:
                 journal.record_run(
                     index, loop_instance, ok=record.ok,
                     retried=record.retried, error=record.error,
-                    run_dir=os.path.basename(run_dir.path),
+                    run_dir=os.path.basename(run_dir.path), **evidence,
                 )
             if log is not None:
                 status = "ok" if record.ok else f"FAILED ({record.error})"

@@ -5,7 +5,9 @@ rerunning thousands of good runs.  The journal is an append-only
 ``journal.jsonl`` in the experiment's result folder: one header line,
 then one JSON line per finished measurement run, each flushed *and
 fsynced* before the controller moves on — the file is trustworthy up
-to the instant of a kill.
+to the instant of a kill.  A run's line also carries its evidence: the
+telemetry snapshot (``telemetry``) and the node-health payload
+(``health``), so one record holds everything a resume replays.
 
 :meth:`Controller.resume` replays the journal, skips every loop
 instance recorded as completed, and re-executes only the remainder.
@@ -92,10 +94,18 @@ class JsonlJournal:
     def _open(self, mode: str) -> None:
         self._handle = open(self.path, mode, encoding="utf-8")
 
-    def _append(self, entry: dict) -> None:
+    def _append(self, entry: dict, evidence: Optional[dict] = None) -> None:
+        """Write one record durably; ``evidence`` fields go to disk only.
+
+        The evidence (a run's telemetry snapshot and health payload) is
+        part of the fsynced line but not of :attr:`entries`: nothing
+        reads it back while writing, and a long sweep would otherwise
+        hold every run's spans in memory.
+        """
         if self._handle is None:
             raise JournalError(f"journal {self.path} is closed")
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        line = dict(entry, **evidence) if evidence else entry
+        self._handle.write(json.dumps(line, sort_keys=True) + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self.entries.append(entry)
@@ -157,8 +167,16 @@ class RunJournal(JsonlJournal):
         retried: bool = False,
         error: Optional[str] = None,
         run_dir: Optional[str] = None,
+        telemetry: Optional[dict] = None,
+        health: Optional[dict] = None,
     ) -> None:
-        """Record one finished (or skipped) measurement run durably."""
+        """Record one finished (or skipped) measurement run durably.
+
+        ``telemetry`` (the run's span/metric snapshot) and ``health``
+        (its node-health payload) are the run's evidence: stored in the
+        same fsynced line, so the journal never promises a run whose
+        evidence a resume could not replay.
+        """
         entry: Dict[str, Any] = {
             "event": "run",
             "index": index,
@@ -173,7 +191,12 @@ class RunJournal(JsonlJournal):
             entry["error"] = error
         if run_dir is not None:
             entry["dir"] = run_dir
-        self._append(entry)
+        evidence = {}
+        if telemetry is not None:
+            evidence["telemetry"] = telemetry
+        if health is not None:
+            evidence["health"] = health
+        self._append(entry, evidence)
 
     # -- reading -------------------------------------------------------------
 

@@ -14,10 +14,17 @@ The on-disk layout mirrors the original testbed's
         variables.yml           # all three variable scopes
         inventory.yml           # node hardware/software/topology record
         scripts.yml             # the executed scripts, documented
+        journal.jsonl           # one fsynced record per run, evidence included
         setup/<role>/…          # setup-phase captures per host
-        run-000/metadata.yml    # loop parameters of this run
+        setup/<role>/status.yml # setup script status per host
+        run-000/metadata.yml    # loop parameters and script status per role
         run-000/<role>/…        # measurement captures per host
         run-001/…
+
+A run folder holds its ``metadata.yml`` and the role captures, nothing
+else: each role's script status is the ``scripts:`` block of
+``metadata.yml``, and the run's telemetry and health evidence live in
+its ``journal.jsonl`` record.
 
 The timestamp format matches the artifact repository of the paper
 (``2020-10-12_11-20-32_230471``).  The clock is injectable so tests
@@ -60,7 +67,8 @@ class RunDir:
         os.makedirs(path, exist_ok=True)
 
     def write_metadata(self, loop_instance: Dict[str, Any], extra: Optional[dict] = None) -> None:
-        """Record the loop parameters that define this run."""
+        """Record the loop parameters that define this run (and ``extra``,
+        e.g. the ``scripts:`` status block)."""
         payload: Dict[str, Any] = {"run": self.index, "loop": dict(loop_instance)}
         if self.attempt:
             payload["attempt"] = self.attempt
@@ -68,8 +76,12 @@ class RunDir:
             payload.update(extra)
         yamlite.dump_file(payload, os.path.join(self.path, "metadata.yml"))
 
-    def record_script(self, result: ScriptResult) -> None:
-        """Store everything a script produced, under its role's folder."""
+    def record_script(self, result: ScriptResult) -> Dict[str, Any]:
+        """Store everything a script produced, under its role's folder.
+
+        Returns the script's status (``script``, ``phase``, ``ok`` and
+        any ``error``) for the caller to record once per run.
+        """
         role_dir = os.path.join(self.path, result.role)
         os.makedirs(role_dir, exist_ok=True)
         if result.commands:
@@ -93,7 +105,7 @@ class RunDir:
         }
         if result.error:
             status["error"] = result.error
-        yamlite.dump_file(status, os.path.join(role_dir, "status.yml"))
+        return status
 
 
 class ExperimentDir:
@@ -122,9 +134,13 @@ class ExperimentDir:
         return path
 
     def record_setup_script(self, result: ScriptResult) -> None:
-        """Setup captures live under ``setup/<role>/`` at experiment level."""
+        """Setup captures live under ``setup/<role>/`` at experiment level,
+        with the script's status in ``setup/<role>/status.yml``."""
         run_like = RunDir(os.path.join(self.path, "setup"), index=-1)
-        run_like.record_script(result)
+        status = run_like.record_script(result)
+        yamlite.dump_file(
+            status, os.path.join(run_like.path, result.role, "status.yml")
+        )
 
     @staticmethod
     def run_dir_name(index: int, attempt: int = 0) -> str:

@@ -612,7 +612,8 @@ def persist_outcome(
 
     One ``run-NNN[-retry]`` folder per attempt, exactly like the
     sequential controller: a recovery retry never overwrites the failed
-    attempt's artifacts.
+    attempt's artifacts.  Each folder's ``metadata.yml`` is written once,
+    after the captures, with every role's script status in it.
     """
     run_dir: Optional[RunDir] = None
     for attempt_number, attempt in enumerate(outcome.attempts):
@@ -621,9 +622,11 @@ def persist_outcome(
                 f"run {outcome.index}: recovery power-cycle + setup replay"
             )
         run_dir = exp_dir.create_run_dir(outcome.index)
-        run_dir.write_metadata(outcome.loop_instance)
-        for result in attempt.script_results:
-            run_dir.record_script(result)
+        scripts = {
+            result.role: run_dir.record_script(result)
+            for result in attempt.script_results
+        }
+        run_dir.write_metadata(outcome.loop_instance, {"scripts": scripts})
     last = outcome.attempts[-1]
     record = RunRecord(
         index=outcome.index,
@@ -870,11 +873,8 @@ def build_deliver(
             record = adopt(exp_dir, index, runs[index], completed[index])
             handle.runs.append(record)
             adopt_telemetry = getattr(log, "adopt_run", None)
-            if adopt_telemetry is not None and completed[index].get("dir"):
-                adopt_telemetry(
-                    index,
-                    os.path.join(exp_dir.path, completed[index]["dir"]),
-                )
+            if adopt_telemetry is not None:
+                adopt_telemetry(completed[index])
             if log is not None:
                 log.event(
                     f"run {index}: {runs[index]} -> ok (adopted from journal)"
@@ -885,13 +885,13 @@ def build_deliver(
         record, run_dir = persist_outcome(exp_dir, outcome, log)
         handle.runs.append(record)
         plan.settle(index, outcome)
-        # Re-sequence the worker's telemetry buffer in run order
-        # and snapshot it, before the journal promises the run.
+        # Re-sequence the worker's telemetry buffer in run order; its
+        # snapshot is journalled with the run, in the same record.
         merge_telemetry = getattr(log, "merge_run", None)
+        evidence = {}
         if merge_telemetry is not None:
-            merge_telemetry(
-                index, outcome.telemetry, run_dir.path,
-                health=outcome.health,
+            evidence = merge_telemetry(
+                index, outcome.telemetry, health=outcome.health,
             )
         if injector is not None:
             injector.events.extend(outcome.fault_events)
@@ -899,7 +899,7 @@ def build_deliver(
             journal.record_run(
                 index, outcome.loop_instance, ok=record.ok,
                 retried=record.retried, error=record.error,
-                run_dir=os.path.basename(run_dir.path),
+                run_dir=os.path.basename(run_dir.path), **evidence,
             )
         if log is not None:
             status = "ok" if record.ok else f"FAILED ({record.error})"

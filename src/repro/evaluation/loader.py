@@ -37,8 +37,9 @@ def is_evaluation_input(relative: str) -> bool:
 
     ``relative`` is a ``/``-separated path under the result folder.
     The loader reads the three top-level YAML files, each run folder's
-    ``metadata.yml``, and every file directly inside a run folder's
-    role directories — nothing else.
+    ``metadata.yml`` (loop parameters and script status), and every
+    file directly inside a run folder's role directories — nothing
+    else.
     """
     parts = relative.split("/")
     if len(parts) == 1:
@@ -83,7 +84,8 @@ class RunResult:
     attempt: int = 0
     #: role → filename → content
     outputs: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    #: role → parsed status.yml
+    #: role → script status (the ``scripts:`` block of ``metadata.yml``,
+    #: or a role's ``status.yml`` in trees of the older layout)
     status: Dict[str, dict] = field(default_factory=dict)
 
     @property
@@ -197,7 +199,7 @@ def _load_role_dirs(results: ExperimentResults, entry: str, run: RunResult) -> N
             text = _read_text(results, f"{entry}/{role}/{filename}")
             if text is None:
                 continue
-            if filename == "status.yml":
+            if filename == "status.yml":  # older layout: status per role
                 run.status[role] = _parse_yaml(text)
             else:
                 files[filename] = text
@@ -232,8 +234,12 @@ def load_experiment(path: str) -> ExperimentResults:
         metadata = _parse_yaml(_read_text(results, f"{entry}/metadata.yml"))
         index = int(metadata.get("run", _index_from_name(entry)))
         attempt = int(metadata.get("attempt", _attempt_from_name(entry)))
+        scripts = metadata.get("scripts")
+        if not isinstance(scripts, dict):
+            scripts = {}  # older layout: each role's status.yml
         run = RunResult(
-            index=index, loop=dict(metadata.get("loop", {})), attempt=attempt
+            index=index, loop=dict(metadata.get("loop", {})), attempt=attempt,
+            status={role: dict(status) for role, status in scripts.items()},
         )
         _load_role_dirs(results, entry, run)
         by_index.setdefault(index, []).append(run)

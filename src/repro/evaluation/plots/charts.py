@@ -8,6 +8,7 @@ distributions out-of-the-box using a set of different representations
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import PlotError
@@ -145,19 +146,26 @@ def hdr_plot(
 
 
 def _gaussian_kde(samples: Sequence[float], positions: Sequence[float]) -> List[float]:
-    """Gaussian kernel density estimate with Silverman's bandwidth."""
+    """Gaussian kernel density estimate with Silverman's bandwidth.
+
+    Each distinct sample value contributes one kernel weighted by its
+    multiplicity: latency samples expanded from a histogram repeat few
+    values many times, so the cost follows the distinct values, not
+    the sample count.
+    """
     count = len(samples)
     mean = sum(samples) / count
     stddev = math.sqrt(sum((value - mean) ** 2 for value in samples) / count)
     bandwidth = 1.06 * stddev * count ** (-1 / 5) if stddev > 0 else 1.0
     bandwidth = max(bandwidth, 1e-12)
     norm = 1.0 / (count * bandwidth * math.sqrt(2 * math.pi))
+    weighted = sorted(Counter(samples).items())
     densities = []
     for position in positions:
         total = 0.0
-        for value in samples:
+        for value, weight in weighted:
             z = (position - value) / bandwidth
-            total += math.exp(-0.5 * z * z)
+            total += weight * math.exp(-0.5 * z * z)
         densities.append(total * norm)
     return densities
 

@@ -462,7 +462,8 @@ def _compile(moongen):
 
 
 def _finish_compile(moongen, tx, tx_post_delay, rx, stages):
-    """The spec, once every seeded guest's hypervisor stays on the path."""
+    """The spec, once every seeded guest's hypervisor stays on the path
+    and nothing the replay does not model is scheduled."""
     guests = [s.device for s in stages if s.kind == "vm"]
     on_path = set(map(id, guests))
     for guest in guests:
@@ -471,6 +472,9 @@ def _finish_compile(moongen, tx, tx_post_delay, rx, stages):
                 if id(other) not in on_path:
                     return (f"{guest.name}: its hypervisor also pauses "
                             f"{getattr(other, 'name', other)}, off this path")
+    foreign = _foreign_event(moongen, guests)
+    if foreign is not None:
+        return foreign
     return DagSpec(
         owner=moongen,
         tx_nic=tx,
@@ -478,6 +482,37 @@ def _finish_compile(moongen, tx, tx_post_delay, rx, stages):
         rx_nic=rx,
         stages=stages,
     )
+
+
+def _foreign_event(moongen, guests) -> Optional[str]:
+    """Why a live simulator event breaks the replay, or None.
+
+    The replay computes a whole run up front from the world as it is
+    at the start, so it holds only while nothing but the run itself
+    acts on that world until the traffic drains.  It models the job's
+    own finish event and the quantum timers of the hypervisors that
+    pause its seeded guests; any other live event — a gate flip, a
+    link or rule change — is not modelled.  The drain horizon is known
+    only after the replay, so such an event refuses the replay however
+    late it is due.
+    """
+    timers = {
+        id(hypervisor._timer)
+        for guest in guests for hypervisor in guest.hypervisors
+    }
+    for event in moongen.sim._heap:
+        if event.cancelled:
+            continue
+        callback = event.callback
+        owner = getattr(callback, "__self__", None)
+        function = getattr(callback, "__func__", None)
+        if owner is moongen and function is type(moongen)._finish:
+            continue
+        if id(owner) in timers and function is PeriodicTimer._fire:
+            continue
+        name = getattr(callback, "__qualname__", type(callback).__name__)
+        return f"simulator: {name} is scheduled, the replay does not model it"
+    return None
 
 
 def _same_dag(cached: DagSpec, fresh: DagSpec) -> bool:

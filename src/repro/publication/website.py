@@ -11,7 +11,7 @@ scopes, the executed scripts, a per-run artifact table, and inline
 links to the generated figures.
 
 When the folder carries the telemetry artifacts (``journal.jsonl``,
-per-run ``telemetry.json``/``health.json``), a third page —
+whose run records carry each run's telemetry and health), a third page —
 ``dashboard.html`` — is generated as well: the per-run provenance
 table, experiment-wide metric summaries, a run-duration chart, the
 fleet timeline with its critical-path bar (the fleet DAG derived from

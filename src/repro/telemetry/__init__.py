@@ -18,8 +18,9 @@ that execution metadata as first-class artifacts:
   (retry policy, fault injector, event engine, fast path, load
   generator) report into without explicit plumbing;
 * :mod:`repro.telemetry.plane` — the experiment-level plane: writes
-  ``trace.jsonl`` / ``telemetry.json`` / per-run ``telemetry.json``
-  artifacts and the byte-compatible legacy ``controller.log``;
+  ``trace.jsonl`` / ``telemetry.json`` and the byte-compatible legacy
+  ``controller.log``, and hands each run's snapshot to its
+  ``journal.jsonl`` record;
 * :mod:`repro.telemetry.report` — renders the per-run provenance table
   from the published artifacts alone (``pos report``);
 * :mod:`repro.telemetry.schema` — dependency-free validation of the
@@ -29,7 +30,7 @@ The plane is deterministic by construction: artifacts are byte-identical
 for any ``--jobs N`` (workers return span/metric buffers inside
 ``RunOutcome``; the parent assigns global sequence numbers in run order)
 and across a crash plus :meth:`Controller.resume` (adopted runs replay
-their buffers from ``run-NNN/telemetry.json``).  ``POS_TELEMETRY=0``
+their buffers from their ``journal.jsonl`` records).  ``POS_TELEMETRY=0``
 disables collection entirely (the overhead-benchmark baseline).
 """
 

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import PosError
 from repro.evaluation.tendencies import paired_effect
-from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
+from repro.telemetry.jsonl import fold_journal, read_jsonl_or_none
 from repro.telemetry.plane import CACHE_NAME, TRACE_NAME
 from repro.telemetry.report import cache_summary
 
@@ -71,10 +71,10 @@ def _assignment_key(loop: Dict[str, Any]) -> str:
     return json.dumps(loop, sort_keys=True)
 
 
-def _run_metrics(run_dir: str) -> Dict[str, float]:
-    """Every comparable numeric fact of one run, as a flat mapping."""
+def _run_metrics(run_dir: str, snapshot: Optional[dict]) -> Dict[str, float]:
+    """Every comparable numeric fact of one run, as a flat mapping:
+    its journalled telemetry ``snapshot`` and its captured output."""
     metrics: Dict[str, float] = {}
-    snapshot = _read_json(os.path.join(run_dir, "telemetry.json"))
     if snapshot is not None:
         for name, value in snapshot.get("metrics", {}).get(
             "counters", {}
@@ -126,19 +126,14 @@ def load_side(path: str) -> Dict[str, Any]:
         raise DiffError(
             f"no journal.jsonl in {path} (not an experiment result folder?)"
         )
-    entries = read_jsonl(journal_path)
+    entries, runs = fold_journal(journal_path)
     if not entries or entries[0].get("event") != "experiment":
         raise DiffError(
             f"journal.jsonl in {path} has no experiment header "
             f"(truncated or not written by this toolchain)"
         )
     header = entries[0]
-    runs: Dict[int, dict] = {}
     retried = failed = skipped = 0
-    for entry in entries:
-        if entry.get("event") != "run":
-            continue
-        runs[int(entry["index"])] = entry
     for entry in runs.values():
         if entry.get("retried"):
             retried += 1
@@ -161,7 +156,10 @@ def load_side(path: str) -> Dict[str, Any]:
             "loop": entry.get("loop", {}),
             "ok": bool(entry.get("ok", False)),
             "skipped": bool(entry.get("skipped", False)),
-            "metrics": _run_metrics(run_dir) if os.path.isdir(run_dir) else {},
+            "metrics": (
+                _run_metrics(run_dir, entry.get("telemetry"))
+                if os.path.isdir(run_dir) else {}
+            ),
         }
         run_rows[_assignment_key(row["loop"])] = row
     phases = _sim_phases(path)

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.errors import PosError
 from repro.evaluation.tendencies import median, robust_z
-from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
+from repro.telemetry.jsonl import fold_journal, read_jsonl_or_none
 from repro.telemetry.plane import CACHE_NAME, DISPATCH_NAME
 from repro.telemetry.report import cache_summary
 
@@ -81,7 +81,7 @@ def diagnose(path: str) -> Dict[str, Any]:
         raise DoctorError(
             f"no journal.jsonl in {path} (not an experiment result folder?)"
         )
-    entries = read_jsonl(journal_path)
+    entries, runs = fold_journal(journal_path)
     if not entries or entries[0].get("event") != "experiment":
         raise DoctorError(
             f"journal.jsonl in {path} has no experiment header "
@@ -92,9 +92,6 @@ def diagnose(path: str) -> Dict[str, Any]:
 
     # -- journal: completion, failures, skips, retries -------------------
     complete = any(e.get("event") == "complete" for e in entries)
-    runs = {
-        int(e["index"]): e for e in entries if e.get("event") == "run"
-    }
     failed = sorted(
         i for i, e in runs.items()
         if not e.get("ok", False) and not e.get("skipped")
@@ -157,8 +154,7 @@ def diagnose(path: str) -> Dict[str, Any]:
     durations: Dict[int, float] = {}
     fallbacks: Dict[str, List[int]] = {}
     for index, entry in sorted(runs.items()):
-        run_dir = os.path.join(path, entry.get("dir") or f"run-{index:03d}")
-        snapshot = _read_json(os.path.join(run_dir, "telemetry.json"))
+        snapshot = entry.get("telemetry")
         if snapshot is None:
             continue
         for name in snapshot.get("metrics", {}).get("counters", {}):
@@ -183,8 +179,7 @@ def diagnose(path: str) -> Dict[str, Any]:
                     f"run {index} is anomalous: sim duration "
                     f"{durations[index]:.4f}s vs median {mid:.4f}s "
                     f"(robust z {score:+.1f}, {direction} than the fleet)",
-                    {"file": f"run-{index:03d}/telemetry.json",
-                     "runs": [index]},
+                    {"file": "journal.jsonl", "runs": [index]},
                 ))
 
     for reason, fell_back in sorted(fallbacks.items()):
@@ -192,8 +187,7 @@ def diagnose(path: str) -> Dict[str, Any]:
             "warning", "fastpath-fallback",
             f"{len(fell_back)} run(s) fell back to the per-packet event "
             f"path: {reason}",
-            {"file": f"run-{fell_back[0]:03d}/telemetry.json",
-             "runs": fell_back},
+            {"file": "journal.jsonl", "runs": fell_back},
         ))
 
     # -- health ledger ---------------------------------------------------

@@ -1,6 +1,7 @@
 """One tolerant JSONL reader for every artifact tailer.
 
-Every flushed-line artifact in the toolchain — the run journal, the
+Every flushed-line artifact in the toolchain — the run journal (whose
+run records carry each run's telemetry and health evidence), the
 span trace (``trace.jsonl``, from which the fleet DAG is derived) and
 the evidence sidecars (``dispatch.jsonl``, which also carries the
 pump's timings, and ``cache.jsonl``) — is written
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["iter_jsonl", "read_jsonl", "read_jsonl_or_none"]
+__all__ = ["iter_jsonl", "read_jsonl", "read_jsonl_or_none", "fold_journal"]
 
 
 def iter_jsonl(path: str) -> Iterator[dict]:
@@ -56,3 +57,28 @@ def read_jsonl_or_none(path: str) -> Optional[List[dict]]:
     if not os.path.isfile(path):
         return None
     return read_jsonl(path)
+
+
+def fold_journal(
+    path: str, fold: Callable[[dict], Any] = lambda record: record,
+) -> Tuple[List[dict], Dict[int, Any]]:
+    """Stream a run journal (``journal.jsonl``) into what a reader keeps.
+
+    Returns the journal's other records in order (the ``experiment``
+    header first, ``complete`` last) and, per run index, ``fold`` of
+    its latest ``run`` record: a later record for an index (a resumed
+    re-execution of a failed run) supersedes earlier ones.  Each run
+    record carries the run's evidence when it was collected — the
+    span/metric snapshot under ``telemetry``, the node-health payload
+    under ``health`` — and ``fold`` picks what the reader needs, so a
+    long sweep's spans are never all held at once.  Every reader of
+    per-run evidence goes through here.
+    """
+    events: List[dict] = []
+    runs: Dict[int, Any] = {}
+    for record in iter_jsonl(path):
+        if record.get("event") == "run":
+            runs[int(record["index"])] = fold(record)
+        else:
+            events.append(record)
+    return events, runs

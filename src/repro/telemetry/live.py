@@ -4,13 +4,13 @@
 view, and ``pos watch <expdir>`` follows the folder while an experiment
 executes.  Both are *read-only tailers*: everything they show is
 reconstructed from the files the controller flushes as it goes — the
-run journal (``journal.jsonl``), the per-run telemetry and health
-snapshots, and the experiment-level aggregates.  No controller handle,
-no IPC, no shared state: the monitor can run in a different process
-(or on a different machine, over a synced artifact folder) while a
-parallel ``--jobs N`` execution is writing, because every record is
-written with a single flushed ``write()`` and torn tails are dropped
-exactly like the resume path drops them.
+run journal (``journal.jsonl``, whose run records carry each run's
+telemetry and health evidence) and the experiment-level aggregates.
+No controller handle, no IPC, no shared state: the monitor can run in
+a different process (or on a different machine, over a synced artifact
+folder) while a parallel ``--jobs N`` execution is writing, because
+every record is written with a single flushed ``write()`` and torn
+tails are dropped exactly like the resume path drops them.
 
 The only wall-clock information in the deterministic artifacts is the
 filesystem itself, so the ETA is extrapolated from run-directory
@@ -19,15 +19,14 @@ mtimes — it is an operator convenience, never an artifact.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import PosError
-from repro.telemetry.jsonl import read_jsonl
-from repro.testbed.health import HEALTH_NAME, ExperimentHealth
+from repro.telemetry.jsonl import fold_journal
+from repro.testbed.health import ExperimentHealth
 
 __all__ = [
     "StatusError",
@@ -42,49 +41,27 @@ class StatusError(PosError):
     """The folder does not carry the artifacts a status view needs."""
 
 
-def _read_journal(experiment_path: str) -> List[dict]:
-    """Journal entries, tolerant of a torn (in-flight) final line."""
+def _read_journal(experiment_path: str, fold):
+    """The journal's other records and ``fold`` of each latest run
+    record, tolerant of a torn (in-flight) final line."""
     path = os.path.join(experiment_path, "journal.jsonl")
     if not os.path.isfile(path):
         raise StatusError(
             f"no journal.jsonl in {experiment_path} "
             f"(not an experiment result folder?)"
         )
-    return read_jsonl(path)
+    return fold_journal(path, fold)
 
 
-def _read_json(path: str) -> Optional[dict]:
-    """One JSON artifact, or None while it is missing or mid-write."""
-    if not os.path.isfile(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except ValueError:
-        return None
-
-
-def _latest_runs(entries: List[dict]) -> Dict[int, dict]:
-    latest: Dict[int, dict] = {}
-    for entry in entries:
-        if entry.get("event") == "run":
-            latest[int(entry["index"])] = entry
-    return latest
-
-
-def _run_payloads(
-    experiment_path: str, runs: Dict[int, dict], name: str,
-) -> Dict[int, dict]:
-    """Per-run snapshot files (telemetry or health), by run index."""
-    payloads: Dict[int, dict] = {}
-    for index in sorted(runs):
-        run_dir = runs[index].get("dir")
-        if not run_dir:
-            continue
-        payload = _read_json(os.path.join(experiment_path, run_dir, name))
-        if payload is not None:
-            payloads[index] = payload
-    return payloads
+def _status_entry(record: dict) -> dict:
+    """A run record with its telemetry reduced to the injected faults."""
+    snapshot = record.pop("telemetry", None) or {}
+    counters = snapshot.get("metrics", {}).get("counters", {})
+    record["faults"] = sum(
+        value for name, value in counters.items()
+        if name.startswith("faults.injected.")
+    )
+    return record
 
 
 def _eta_seconds(
@@ -119,14 +96,13 @@ def load_status(
     """
     if not os.path.isdir(experiment_path):
         raise StatusError(f"no such experiment directory: {experiment_path}")
-    entries = _read_journal(experiment_path)
+    entries, runs = _read_journal(experiment_path, _status_entry)
     if not entries or entries[0].get("event") != "experiment":
         raise StatusError(
             f"journal.jsonl in {experiment_path} has no experiment header "
             f"(crashed before the first fsync?)"
         )
     header = entries[0]
-    runs = _latest_runs(entries)
     if require_runs and not runs:
         raise StatusError(
             f"no measurement runs journalled in {experiment_path} yet "
@@ -140,20 +116,10 @@ def load_status(
     failed = done - ok - skipped
     retried = sum(1 for entry in runs.values() if entry.get("retried"))
 
-    telemetry = _run_payloads(experiment_path, runs, "telemetry.json")
-    faults = 0
-    for payload in telemetry.values():
-        counters = payload.get("metrics", {}).get("counters", {})
-        faults += sum(
-            value for name, value in counters.items()
-            if name.startswith("faults.injected.")
-        )
-
+    faults = sum(entry["faults"] for entry in runs.values())
     health = ExperimentHealth()
-    for index, payload in sorted(
-        _run_payloads(experiment_path, runs, HEALTH_NAME).items()
-    ):
-        health.fold(payload)
+    for index in sorted(runs):
+        health.fold(runs[index].get("health"))
 
     if complete:
         phase = "complete"
@@ -264,9 +230,12 @@ def load_health_timeline(experiment_path: str) -> Dict[str, Any]:
     everything the published website needs to draw the health timeline
     without re-running anything.
     """
-    entries = _read_journal(experiment_path)
-    runs = _latest_runs(entries)
-    payloads = _run_payloads(experiment_path, runs, HEALTH_NAME)
+    __, runs = _read_journal(
+        experiment_path, lambda record: record.get("health")
+    )
+    payloads = {
+        index: runs[index] for index in sorted(runs) if runs[index] is not None
+    }
     node_names: List[str] = sorted(
         {name for payload in payloads.values() for name in payload["nodes"]}
     )

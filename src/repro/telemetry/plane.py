@@ -13,12 +13,13 @@ Owns every telemetry artifact of one experiment execution:
     assigned at span start — workflow spans live on a logical tick
     clock, run-scoped spans on the netsim virtual clock.  The file is
     *rewritten* by a resumed execution: adopted runs replay their
-    buffers from ``run-NNN/telemetry.json``, so the finished trace is a
-    pure function of the run set and stays byte-identical across any
-    ``--jobs N`` and across crash + resume.
-``run-NNN/telemetry.json``
-    Per-run span/metric snapshot, written when the run is persisted
-    (in run order, through the scheduler's reorder buffer).
+    buffers from their ``journal.jsonl`` records, so the finished trace
+    is a pure function of the run set and stays byte-identical across
+    any ``--jobs N`` and across crash + resume.
+``journal.jsonl`` (``telemetry`` field of each run record)
+    Per-run span/metric snapshot, returned by :meth:`merge_run` when
+    the run is persisted (in run order, through the scheduler's reorder
+    buffer) and written with the run's fsynced journal record.
 ``telemetry.json``
     The experiment-wide metric aggregate, written at finalization.
 ``trace-wall.jsonl``
@@ -68,7 +69,6 @@ __all__ = [
     "ExperimentTelemetry",
     "TRACE_NAME",
     "TELEMETRY_NAME",
-    "RUN_TELEMETRY_NAME",
     "WALL_SIDECAR_NAME",
     "DISPATCH_NAME",
     "CACHE_NAME",
@@ -81,7 +81,6 @@ __all__ = [
 TRACE_NAME = "trace.jsonl"
 TELEMETRY_NAME = "telemetry.json"
 WALL_SIDECAR_NAME = "trace-wall.jsonl"
-RUN_TELEMETRY_NAME = "telemetry.json"
 DISPATCH_NAME = "dispatch.jsonl"
 CACHE_NAME = "cache.jsonl"
 
@@ -278,51 +277,46 @@ class ExperimentTelemetry:
     # -- run buffers ---------------------------------------------------------
 
     def merge_run(
-        self, index: int, payload: Optional[dict], run_dir_path: Optional[str],
+        self, index: int, payload: Optional[dict],
         health: Optional[dict] = None,
-    ) -> None:
+    ) -> Dict[str, dict]:
         """Merge one executed run's buffer, in run order.
 
         Assigns global sequence numbers to the buffer's local ones,
         parents the run's root spans under the innermost live workflow
-        span (the measurement phase), snapshots the buffer into
-        ``run-NNN/telemetry.json``, and aggregates the metrics.  The
-        run's health payload (if any) is snapshotted and folded the
-        same way (``run-NNN/health.json``).
+        span (the measurement phase), and aggregates the metrics.  The
+        run's health payload (if any) is folded the same way.
+
+        Returns the run's evidence for its journal record: ``telemetry``
+        (the wall-free span/metric snapshot) and ``health`` (the
+        payload), each present only when it was collected.
         """
-        if self.health is not None:
-            self.health.merge_run(index, health, run_dir_path)
+        evidence: Dict[str, dict] = {}
+        if self.health is not None and health is not None:
+            self.health.fold(health)
+            evidence["health"] = health
         if not self.enabled or payload is None:
-            return
-        if run_dir_path is not None:
-            snapshot = {
-                "run": index,
-                "spans": [strip_wall(span) for span in payload.get("spans", [])],
-                "metrics": payload.get("metrics", {}),
-            }
-            with open(
-                os.path.join(run_dir_path, RUN_TELEMETRY_NAME),
-                "w", encoding="utf-8",
-            ) as handle:
-                handle.write(json.dumps(snapshot, sort_keys=True, indent=2))
-                handle.write("\n")
+            return evidence
+        evidence["telemetry"] = {
+            "run": index,
+            "spans": [strip_wall(span) for span in payload.get("spans", [])],
+            "metrics": payload.get("metrics", {}),
+        }
         self._merge_buffer(payload)
+        return evidence
 
-    def adopt_run(self, index: int, run_dir_path: str) -> None:
-        """Replay an adopted (journalled, resumed) run's buffer from disk.
+    def adopt_run(self, entry: dict) -> None:
+        """Replay an adopted (journalled, resumed) run from its record.
 
-        The snapshot file is left byte-untouched; only the trace and the
-        aggregate are fed, exactly as if the run had executed here.
+        ``entry`` is the run's journal record; its ``telemetry`` and
+        ``health`` evidence feed the trace and the aggregates exactly
+        as if the run had executed here.
         """
         if self.health is not None:
-            self.health.adopt_run(index, run_dir_path)
-        if not self.enabled:
+            self.health.fold(entry.get("health"))
+        snapshot = entry.get("telemetry")
+        if not self.enabled or snapshot is None:
             return
-        snapshot_path = os.path.join(run_dir_path, RUN_TELEMETRY_NAME)
-        if not os.path.isfile(snapshot_path):
-            return  # pre-telemetry artifact: nothing to replay
-        with open(snapshot_path, "r", encoding="utf-8") as handle:
-            snapshot = json.load(handle)
         self._merge_buffer(
             {"spans": snapshot.get("spans", []),
              "metrics": snapshot.get("metrics", {})}

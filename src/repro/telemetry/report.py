@@ -3,8 +3,8 @@
 ``pos report <experiment folder>`` needs no controller, no journal
 replay machinery and no live testbed: everything it prints is
 reconstructed from the files an execution left behind — the run journal
-(``journal.jsonl``), the per-run telemetry snapshots
-(``run-NNN/telemetry.json``), the experiment-wide aggregate
+(``journal.jsonl``, whose run records carry each run's telemetry
+snapshot), the experiment-wide aggregate
 (``telemetry.json``) and, when a run cache was active, the cache
 evidence sidecar (``cache.jsonl``).  That is the artifact-first
 contract of the telemetry plane: a reader of a published result folder
@@ -20,7 +20,7 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import PosError
-from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
+from repro.telemetry.jsonl import fold_journal, read_jsonl_or_none
 
 __all__ = ["cache_summary", "load_report", "render_report"]
 
@@ -36,7 +36,8 @@ def _read_json(path: str) -> Optional[dict]:
         return json.load(handle)
 
 
-def _read_journal(experiment_path: str) -> List[dict]:
+def _read_journal(experiment_path: str):
+    """The journal's other records and one report row per run."""
     if not os.path.isdir(experiment_path):
         raise ReportError(f"no such experiment directory: {experiment_path}")
     path = os.path.join(experiment_path, "journal.jsonl")
@@ -45,7 +46,7 @@ def _read_journal(experiment_path: str) -> List[dict]:
             f"no journal.jsonl in {experiment_path} "
             f"(not an experiment result folder?)"
         )
-    return read_jsonl(path)
+    return fold_journal(path, _run_row)
 
 
 def _read_cache_events(experiment_path: str) -> Optional[List[dict]]:
@@ -90,28 +91,16 @@ def cache_summary(events: Optional[List[dict]]) -> Optional[Dict[str, Any]]:
     }
 
 
-def _latest_runs(entries: List[dict]) -> Dict[int, dict]:
-    latest: Dict[int, dict] = {}
-    for entry in entries:
-        if entry.get("event") == "run":
-            latest[int(entry["index"])] = entry
-    return latest
-
-
-def _run_row(index: int, entry: dict, experiment_path: str) -> Dict[str, Any]:
+def _run_row(entry: dict) -> Dict[str, Any]:
     row: Dict[str, Any] = {
-        "run": index,
+        "run": int(entry["index"]),
         "loop": entry.get("loop", {}),
         "ok": bool(entry.get("ok", False)),
         "skipped": bool(entry.get("skipped", False)),
         "retried": bool(entry.get("retried", False)),
         "error": entry.get("error"),
     }
-    snapshot = None
-    if entry.get("dir"):
-        snapshot = _read_json(
-            os.path.join(experiment_path, entry["dir"], "telemetry.json")
-        )
+    snapshot = entry.get("telemetry")
     if snapshot is None:
         return row
     counters = snapshot.get("metrics", {}).get("counters", {})
@@ -147,7 +136,7 @@ def load_report(experiment_path: str) -> Dict[str, Any]:
     that records no measurement runs — so ``pos report`` fails with
     an actionable message instead of a traceback.
     """
-    entries = _read_journal(experiment_path)
+    entries, runs = _read_journal(experiment_path)
     if not entries or entries[0].get("event") != "experiment":
         raise ReportError(
             f"journal.jsonl in {experiment_path} has no experiment header "
@@ -159,16 +148,12 @@ def load_report(experiment_path: str) -> Dict[str, Any]:
             f"experiment header in {experiment_path}/journal.jsonl "
             f"carries no experiment name"
         )
-    runs = _latest_runs(entries)
     if not runs:
         raise ReportError(
             f"no measurement runs journalled in {experiment_path} "
             f"(execution crashed before the first run?)"
         )
-    rows = [
-        _run_row(index, runs[index], experiment_path)
-        for index in sorted(runs)
-    ]
+    rows = [runs[index] for index in sorted(runs)]
     return {
         "experiment": header.get("name"),
         "total_runs": header.get("total_runs"),

@@ -1,13 +1,13 @@
 """Dependency-free validation of telemetry artifacts.
 
 The telemetry artifacts are a published interface: external tooling may
-parse ``trace.jsonl`` and ``telemetry.json`` long after the toolchain
-that wrote them is gone.  The interface is pinned by JSON schemas
-checked in under ``docs/schemas/`` and enforced in CI; this module
-implements the small subset of JSON Schema those files use (``type``,
-``required``, ``properties``, ``items``, ``enum``, ``minimum``,
-``additionalProperties``), so validation needs no third-party
-``jsonschema`` package.
+parse ``trace.jsonl``, ``telemetry.json`` and the per-run evidence in
+``journal.jsonl`` long after the toolchain that wrote them is gone.  The
+interface is pinned by JSON schemas checked in under ``docs/schemas/``
+and enforced in CI; this module implements the small subset of JSON
+Schema those files use (``type``, ``required``, ``properties``,
+``items``, ``enum``, ``minimum``, ``additionalProperties``), so
+validation needs no third-party ``jsonschema`` package.
 
 Run as a module to validate one experiment result folder::
 
@@ -140,7 +140,7 @@ def validate_experiment(experiment_path: str) -> List[str]:
 
     # Evidence sidecars tolerate a torn tail (a crashed writer's last
     # line is evidence, not a violation); complete records must conform.
-    from repro.telemetry.jsonl import read_jsonl
+    from repro.telemetry.jsonl import iter_jsonl, read_jsonl
 
     for sidecar_name, schema in (
         ("dispatch.jsonl", dispatch_schema),
@@ -176,27 +176,27 @@ def validate_experiment(experiment_path: str) -> List[str]:
             raise SchemaError(f"{health_path}: {exc}") from exc
         validated.append(health_path)
 
-    for name in sorted(os.listdir(experiment_path)):
-        if not name.startswith("run-"):
-            continue
-        run_path = os.path.join(experiment_path, name, "telemetry.json")
-        if os.path.isfile(run_path):
-            with open(run_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            try:
-                validate(payload, run_schema)
-            except SchemaError as exc:
-                raise SchemaError(f"{run_path}: {exc}") from exc
-            validated.append(run_path)
-        run_health_path = os.path.join(experiment_path, name, "health.json")
-        if os.path.isfile(run_health_path):
-            with open(run_health_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            try:
-                validate(payload, run_health_schema)
-            except SchemaError as exc:
-                raise SchemaError(f"{run_health_path}: {exc}") from exc
-            validated.append(run_health_path)
+    # Each run's evidence is embedded in its journal record; a torn
+    # final record is the crash the journal tolerates, not a violation.
+    journal_path = os.path.join(experiment_path, "journal.jsonl")
+    if os.path.isfile(journal_path):
+        embedded = False
+        for number, record in enumerate(iter_jsonl(journal_path), start=1):
+            if record.get("event") != "run":
+                continue
+            for field, schema in (
+                ("telemetry", run_schema), ("health", run_health_schema),
+            ):
+                if field not in record:
+                    continue
+                try:
+                    validate(record[field], schema, f"$.{field}")
+                except SchemaError as exc:
+                    raise SchemaError(f"{journal_path}:{number}: {exc}") \
+                        from exc
+                embedded = True
+        if embedded:
+            validated.append(journal_path)
 
     # Comparative-analysis reports saved back into the tree (`pos diff
     # --save`, `pos doctor --save`) are part of the published interface

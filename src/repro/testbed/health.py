@@ -14,8 +14,9 @@ Determinism contract (the same one every artifact obeys): the payload
 of run *k* is a pure function of the run index — SEL records are
 sliced per run against baselines captured at run start and renumbered
 run-locally, and sensors depend only on observable chassis state — so
-``run-NNN/health.json`` and the experiment-level ``health.json`` are
-byte-identical for any ``--jobs N`` and across crash + resume.
+each run's payload (the ``health`` field of its ``journal.jsonl``
+record) and the experiment-level ``health.json`` are byte-identical
+for any ``--jobs N`` and across crash + resume.
 
 The cross-run health *state machine* is evaluated only in the parent,
 in run order (:class:`ExperimentHealth`): worsening observations jump
@@ -48,8 +49,7 @@ __all__ = [
     "ExperimentHealth",
 ]
 
-#: File name of both the per-run snapshot (``run-NNN/health.json``) and
-#: the experiment-level aggregate.
+#: File name of the experiment-level aggregate.
 HEALTH_NAME = "health.json"
 
 HEALTHY = "healthy"
@@ -231,10 +231,10 @@ def _new_node_state() -> Dict[str, Any]:
 class ExperimentHealth:
     """Parent-side fold of per-run health payloads, in run order.
 
-    Mirrors the telemetry plane's merge/adopt/finalize triple: executed
-    runs are merged (snapshotting ``run-NNN/health.json`` first),
-    adopted runs are replayed from their snapshots, and finalization
-    writes the experiment-level ``health.json``.  Because folding
+    The telemetry plane folds each executed run's payload (which goes
+    on into the run's journal record) and each adopted run's payload
+    (read back from that record), and finalization writes the
+    experiment-level ``health.json``.  Because folding
     happens strictly in run order (the scheduler's reorder buffer
     guarantees it), the cross-run state machine is deterministic under
     any job count.
@@ -268,29 +268,6 @@ class ExperimentHealth:
                     {"run": run, "from": node["state"], "to": new_state}
                 )
                 node["state"] = new_state
-
-    def merge_run(
-        self, index: int, payload: Optional[dict],
-        run_dir_path: Optional[str],
-    ) -> None:
-        """Snapshot one executed run's payload, then fold it."""
-        if payload is None:
-            return
-        if run_dir_path is not None:
-            with open(
-                os.path.join(run_dir_path, HEALTH_NAME), "w", encoding="utf-8"
-            ) as handle:
-                handle.write(json.dumps(payload, sort_keys=True, indent=2))
-                handle.write("\n")
-        self.fold(payload)
-
-    def adopt_run(self, index: int, run_dir_path: str) -> None:
-        """Replay an adopted (journalled, resumed) run from its snapshot."""
-        snapshot_path = os.path.join(run_dir_path, HEALTH_NAME)
-        if not os.path.isfile(snapshot_path):
-            return  # pre-health artifact: nothing to replay
-        with open(snapshot_path, "r", encoding="utf-8") as handle:
-            self.fold(json.load(handle))
 
     # -- results -----------------------------------------------------------
 

@@ -251,10 +251,13 @@ class TestErrorPolicies:
             dut_measure=CommandScript("dut-measure", ["false"]),
         )
         handle = controller.run(experiment, on_error="continue")
-        status = yamlite.load_file(os.path.join(
+        metadata = yamlite.load_file(os.path.join(
+            handle.result_path, "run-000", "metadata.yml"
+        ))
+        assert metadata["scripts"]["dut"]["ok"] is False
+        assert not os.path.exists(os.path.join(
             handle.result_path, "run-000", "dut", "status.yml"
         ))
-        assert status["ok"] is False
 
     def test_unknown_policy_rejected(self, tmp_path):
         controller, __, __ = make_testbed(tmp_path)

@@ -53,7 +53,8 @@ def run_tree(root, **overrides):
 
 
 def synthetic_tree(tmp_path, durations, failures=()):
-    """A minimal artifact tree built by hand: journal + run telemetry."""
+    """A minimal artifact tree built by hand: a journal whose run
+    records carry their telemetry, and the run folders."""
     root = tmp_path / "synthetic"
     root.mkdir()
     with open(root / "journal.jsonl", "w", encoding="utf-8") as handle:
@@ -66,15 +67,13 @@ def synthetic_tree(tmp_path, durations, failures=()):
                 "event": "run", "index": index, "dir": f"run-{index:03d}",
                 "loop": {"i": index}, "ok": index not in failures,
                 "error": "boom" if index in failures else None,
+                "telemetry": {
+                    "spans": [{"name": "run", "start": 0.0, "end": duration}],
+                },
             }) + "\n")
         handle.write(json.dumps({"event": "complete"}) + "\n")
-    for index, duration in enumerate(durations):
-        run_dir = root / f"run-{index:03d}"
-        run_dir.mkdir()
-        with open(run_dir / "telemetry.json", "w", encoding="utf-8") as handle:
-            json.dump({
-                "spans": [{"name": "run", "start": 0.0, "end": duration}],
-            }, handle)
+    for index in range(len(durations)):
+        (root / f"run-{index:03d}").mkdir()
     return str(root)
 
 

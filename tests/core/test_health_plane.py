@@ -1,6 +1,7 @@
 """Health artifacts: determinism, crash+resume, kill switch, schemas.
 
-``run-NNN/health.json`` and the experiment-level ``health.json`` obey
+Each run's health payload (the ``health`` field of its ``journal.jsonl``
+record) and the experiment-level ``health.json`` obey
 the same contract as every other artifact of the toolchain: byte-
 identical for any ``--jobs N`` and across a crash + resume, and pinned
 by checked-in JSON schemas.  ``POS_HEALTH=0`` suppresses them without
@@ -17,6 +18,7 @@ import pytest
 
 from repro.casestudy import run_case_study
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.telemetry.jsonl import fold_journal
 from repro.telemetry.schema import validate_experiment
 from repro.testbed.health import HEALTH_NAME
 
@@ -47,17 +49,30 @@ def crashing_progress(after):
     return callback
 
 
+def journal_runs(result_path):
+    """The journal's latest run record per index, evidence included."""
+    return fold_journal(os.path.join(result_path, "journal.jsonl"))[1]
+
+
 def health_files(root):
-    """Relative path -> bytes for every health artifact under root."""
+    """Every health artifact under root: relative path -> bytes for the
+    ``health.json`` aggregates, ``<journal>#<run>`` -> canonical JSON for
+    each journalled run's payload."""
     picked = {}
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
         for name in sorted(filenames):
-            if name != HEALTH_NAME:
-                continue
             path = os.path.join(dirpath, name)
-            with open(path, "rb") as handle:
-                picked[os.path.relpath(path, root)] = handle.read()
+            relative = os.path.relpath(path, root)
+            if name == HEALTH_NAME:
+                with open(path, "rb") as handle:
+                    picked[relative] = handle.read()
+            elif name == "journal.jsonl":
+                for index, entry in journal_runs(dirpath).items():
+                    if "health" in entry:
+                        picked[f"{relative}#{index}"] = json.dumps(
+                            entry["health"], sort_keys=True
+                        )
     return picked
 
 
@@ -82,17 +97,20 @@ class TestHealthArtifacts:
             assert node["observations"]["healthy"] == 4
             assert node["transitions"] == []
             assert node["sensors"]["fan_rpm"] > 0
+        runs = journal_runs(root)
         for index in range(4):
-            path = os.path.join(root, f"run-{index:03d}", HEALTH_NAME)
-            with open(path) as stream:
-                snapshot = json.load(stream)
+            snapshot = runs[index]["health"]
             assert snapshot["run"] == index
             assert set(snapshot["nodes"]) == {"riga", "tartu"}
+            assert not os.path.exists(
+                os.path.join(root, runs[index]["dir"], HEALTH_NAME)
+            )
 
     def test_health_artifacts_validate_against_schemas(self, tmp_path):
         handle = run_case_study("pos", str(tmp_path), jobs=1, **SMALL)
         validated = validate_experiment(handle.result_path)
-        assert any(path.endswith("run-000/health.json") for path in validated)
+        # The per-run payloads are validated inside the journal.
+        assert any(path.endswith("journal.jsonl") for path in validated)
         assert any(
             os.path.basename(path) == HEALTH_NAME
             and "run-" not in os.path.basename(os.path.dirname(path))
@@ -122,17 +140,9 @@ class TestHealthArtifacts:
         assert node["sel_records"] > 0
         assert {"run": 1, "from": "healthy", "to": "degraded"} \
             in node["transitions"]
-        with open(os.path.join(handle.result_path, "journal.jsonl")) as stream:
-            entries = [json.loads(line) for line in stream]
-        run_dir = next(
-            entry["dir"] for entry in entries
-            if entry.get("event") == "run" and entry["index"] == 1
-        )
-        assert run_dir == "run-001-retry"  # the retry got its own folder
-        with open(
-            os.path.join(handle.result_path, run_dir, HEALTH_NAME)
-        ) as stream:
-            struck = json.load(stream)
+        entry = journal_runs(handle.result_path)[1]
+        assert entry["dir"] == "run-001-retry"  # the retry got its own folder
+        struck = entry["health"]
         assert struck["nodes"][name]["observation"] == "degraded"
         assert any(
             record["sensor"] == "chassis"
@@ -171,9 +181,7 @@ class TestHealthDeterminism:
         handle = run_case_study("pos", str(tmp_path), jobs=1, **SMALL)
         root = handle.result_path
         assert not os.path.exists(os.path.join(root, HEALTH_NAME))
-        assert not os.path.exists(
-            os.path.join(root, "run-000", HEALTH_NAME)
-        )
+        assert "health" not in journal_runs(root)[0]
         # The telemetry plane is untouched by the health switch.
         assert os.path.exists(os.path.join(root, "trace.jsonl"))
 
@@ -184,7 +192,8 @@ class TestHealthDeterminism:
         handle = run_case_study("pos", str(tmp_path), jobs=1, **SMALL)
         root = handle.result_path
         assert os.path.exists(os.path.join(root, HEALTH_NAME))
-        assert os.path.exists(os.path.join(root, "run-000", HEALTH_NAME))
+        entry = journal_runs(root)[0]
+        assert "health" in entry and "telemetry" not in entry
         assert not os.path.exists(os.path.join(root, "trace.jsonl"))
 
     def test_sel_events_enter_the_trace(self, tmp_path):

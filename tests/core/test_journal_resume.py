@@ -333,14 +333,15 @@ class TestRecoveryRunDirs:
         assert handle.completed_runs == 2
         entries = sorted(os.listdir(handle.result_path))
         assert "run-000" in entries and "run-000-retry" in entries
-        failed_status = yamlite.load_file(os.path.join(
-            handle.result_path, "run-000", "dut", "status.yml"
+        failed = yamlite.load_file(os.path.join(
+            handle.result_path, "run-000", "metadata.yml"
         ))
-        assert failed_status["ok"] is False
-        retried_status = yamlite.load_file(os.path.join(
-            handle.result_path, "run-000-retry", "dut", "status.yml"
+        assert failed["scripts"]["dut"]["ok"] is False
+        retried = yamlite.load_file(os.path.join(
+            handle.result_path, "run-000-retry", "metadata.yml"
         ))
-        assert retried_status["ok"] is True
+        assert retried["scripts"]["dut"]["ok"] is True
+        assert retried["attempt"] == 1
 
     def test_journal_points_at_the_successful_attempt(self, tmp_path):
         state = {"wedged_once": False}

@@ -92,11 +92,13 @@ class TestExperimentDir:
             uploads=[("moongen.log", "TX: data")],
             log_lines=["started"],
         )
-        run_dir.record_script(result)
+        status = run_dir.record_script(result)
         role_dir = os.path.join(run_dir.path, "loadgen")
+        # The status is returned for metadata.yml, not written per role.
         assert sorted(os.listdir(role_dir)) == [
-            "commands.log", "moongen.log", "pos.log", "status.yml",
+            "commands.log", "moongen.log", "pos.log",
         ]
+        assert status == {"script": "measure", "phase": "measurement", "ok": True}
         with open(os.path.join(role_dir, "commands.log")) as handle:
             log = handle.read()
         assert "$ echo hi" in log and "(exit 0)" in log
@@ -108,12 +110,24 @@ class TestExperimentDir:
             script="measure", role="dut", phase="measurement",
             ok=False, error="boom",
         )
-        run_dir.record_script(result)
-        status = yamlite.load_file(
-            os.path.join(run_dir.path, "dut", "status.yml")
-        )
+        status = run_dir.record_script(result)
         assert status["ok"] is False
         assert status["error"] == "boom"
+        # A role without captures still gets its (empty) folder.
+        assert os.listdir(os.path.join(run_dir.path, "dut")) == []
+
+    def test_setup_script_status_is_written_per_role(self, tmp_path):
+        store = ResultStore(str(tmp_path), clock=lambda: 1000.0)
+        exp_dir = store.create_experiment_dir("user", "exp")
+        exp_dir.record_setup_script(ScriptResult(
+            script="setup", role="dut", phase="setup", ok=False, error="boom",
+        ))
+        status = yamlite.load_file(
+            os.path.join(exp_dir.path, "setup", "dut", "status.yml")
+        )
+        assert status == {
+            "script": "setup", "phase": "setup", "ok": False, "error": "boom",
+        }
 
     def test_upload_names_are_sanitized(self, tmp_path):
         store = ResultStore(str(tmp_path), clock=lambda: 1000.0)

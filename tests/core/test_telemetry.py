@@ -1,7 +1,8 @@
 """Telemetry plane: deterministic spans, metrics, and provenance artifacts.
 
 The plane's contract mirrors the scheduler's: `trace.jsonl`,
-`telemetry.json`, and every `run-NNN/telemetry.json` are *byte-identical*
+`telemetry.json`, and `journal.jsonl` (whose run records carry each run's
+telemetry snapshot) are *byte-identical*
 for any ``--jobs N``, for the event path and the batched fast path alike,
 and across a crash + ``Controller.resume``.  Wall-clock measurements never
 enter those files — they live in the opt-in ``trace-wall.jsonl`` sidecar.
@@ -15,13 +16,16 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 
 import pytest
 
 from repro.casestudy import run_case_study
+from repro.core import yamlite
 from repro.core.journal import JOURNAL_NAME
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.publication.bundle import build_manifest
+from repro.telemetry.jsonl import fold_journal
 from repro.telemetry.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.telemetry.report import load_report, render_report
 from repro.telemetry.schema import SchemaError, validate, validate_experiment
@@ -62,12 +66,13 @@ def find_result_dir(root):
 
 
 def telemetry_files(root):
-    """Relative path -> bytes for every deterministic telemetry artifact."""
+    """Relative path -> bytes for every deterministic telemetry artifact:
+    the trace, the aggregate and the journal carrying the run snapshots."""
     picked = {}
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
         for name in sorted(filenames):
-            if name not in ("trace.jsonl", "telemetry.json"):
+            if name not in ("trace.jsonl", "telemetry.json", JOURNAL_NAME):
                 continue
             path = os.path.join(dirpath, name)
             with open(path, "rb") as handle:
@@ -229,13 +234,10 @@ class TestArtifacts:
         assert starts == sorted(starts) and len(set(starts)) == 4
 
     def test_per_run_snapshots(self, result_dir):
-        run_dirs = sorted(
-            name for name in os.listdir(result_dir) if name.startswith("run-")
-        )
-        assert len(run_dirs) == 4
-        for index, name in enumerate(run_dirs):
-            with open(os.path.join(result_dir, name, "telemetry.json")) as handle:
-                snapshot = json.load(handle)
+        runs = fold_journal(os.path.join(result_dir, JOURNAL_NAME))[1]
+        assert sorted(runs) == [0, 1, 2, 3]
+        for index, entry in sorted(runs.items()):
+            snapshot = entry["telemetry"]
             assert snapshot["run"] == index
             span_names = [span["name"] for span in snapshot["spans"]]
             assert "run" in span_names and "attempt" in span_names
@@ -250,6 +252,22 @@ class TestArtifacts:
             assert "netsim.backlog_drops" in counters
             # Wall-clock measurements never reach the deterministic file.
             assert all("wall_s" not in span for span in snapshot["spans"])
+
+    def test_run_folder_holds_metadata_and_captures_only(self, result_dir):
+        for index in range(4):
+            run_dir = os.path.join(result_dir, f"run-{index:03d}")
+            assert sorted(os.listdir(run_dir)) == [
+                "dut", "loadgen", "metadata.yml",
+            ]
+            for role in ("dut", "loadgen"):
+                names = os.listdir(os.path.join(run_dir, role))
+                assert names and "status.yml" not in names
+            metadata = yamlite.load_file(os.path.join(run_dir, "metadata.yml"))
+            assert set(metadata["scripts"]) == {"dut", "loadgen"}
+            assert all(
+                status["ok"] is True and status["phase"] == "measurement"
+                for status in metadata["scripts"].values()
+            )
 
     def test_experiment_aggregate(self, result_dir):
         with open(os.path.join(result_dir, "telemetry.json")) as handle:
@@ -277,7 +295,8 @@ class TestArtifacts:
         paths = {entry["path"] for entry in build_manifest(result_dir)}
         assert "trace.jsonl" in paths
         assert "telemetry.json" in paths
-        assert any(
+        assert JOURNAL_NAME in paths  # the per-run snapshots ride in it
+        assert not any(
             path.startswith("run-") and path.endswith("/telemetry.json")
             for path in paths
         )
@@ -296,8 +315,8 @@ class TestArtifactDeterminism:
         run_case_study("pos", str(tmp_path / "par"), jobs=4, **SWEEP)
         seq = telemetry_files(str(tmp_path / "seq"))
         par = telemetry_files(str(tmp_path / "par"))
-        # trace + experiment aggregate + one snapshot per run
-        assert len(seq) == 6
+        # trace + experiment aggregate + the journal with the snapshots
+        assert len(seq) == 3
         assert par == seq
 
     def test_identical_across_crash_and_resume(self, tmp_path):
@@ -333,15 +352,68 @@ class TestArtifactDeterminism:
         assert sequences == list(range(1, len(sequences) + 1))
         assert len(sequences) > 0
 
+    def test_torn_final_record_drops_only_that_run(self, tmp_path):
+        run_case_study("pos", str(tmp_path / "clean"), jobs=1, **SWEEP)
+        clean = telemetry_files(str(tmp_path / "clean"))
+        clean_dir = find_result_dir(str(tmp_path / "clean"))
+        torn_dir = os.path.join(str(tmp_path / "torn"), "tree")
+        shutil.copytree(clean_dir, torn_dir)
+        path = os.path.join(torn_dir, JOURNAL_NAME)
+        with open(path) as handle:
+            lines = handle.readlines()
+        # Header, runs 0-3, complete: die halfway through run 3's record.
+        assert json.loads(lines[4])["index"] == 3
+        with open(path, "w") as handle:
+            handle.writelines(lines[:4])
+            handle.write(lines[4][: len(lines[4]) // 2])
+        runs = fold_journal(path)[1]
+        assert sorted(runs) == [0, 1, 2]
+        assert all("telemetry" in e and "health" in e for e in runs.values())
+
+        handle = run_case_study(
+            "pos", str(tmp_path / "torn"), jobs=1, resume_path=torn_dir,
+            **SWEEP,
+        )
+        assert handle.completed_runs == 4 and handle.resumed_runs == 3
+        resumed = telemetry_files(str(tmp_path / "torn"))
+        for name in ("trace.jsonl", "telemetry.json"):
+            assert resumed[os.path.join("tree", name)] == clean[
+                os.path.relpath(os.path.join(clean_dir, name),
+                                str(tmp_path / "clean"))
+            ]
+        # Run 3 re-executed into a fresh attempt folder; its record is
+        # the clean one but for the folder name.
+        rerun = fold_journal(path)[1][3]
+        assert rerun.pop("dir") == "run-003-retry"
+        reference = fold_journal(os.path.join(clean_dir, JOURNAL_NAME))[1]
+        assert reference[3].pop("dir") == "run-003"
+        assert rerun == reference[3]
+
+    def test_serial_jobs_and_agents_journals_identical(self, tmp_path):
+        journals = []
+        for name, plane in (
+            ("serial", {}), ("jobs2", {"jobs": 2}), ("agents2", {"agents": 2}),
+        ):
+            root = str(tmp_path / name)
+            run_case_study("pos", root, **plane, **SWEEP)
+            with open(os.path.join(find_result_dir(root), JOURNAL_NAME),
+                      "rb") as handle:
+                journals.append(handle.read())
+        assert journals[1] == journals[0]
+        assert journals[2] == journals[0]
+        records = [json.loads(line) for line in journals[0].splitlines()]
+        runs = [record for record in records if record["event"] == "run"]
+        assert len(runs) == 4
+        assert all("telemetry" in run and "health" in run for run in runs)
+
     def test_kill_switch_suppresses_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POS_TELEMETRY", "0")
         handle = run_case_study("pos", str(tmp_path), jobs=1, **SMALL)
         root = handle.result_path
         assert not os.path.exists(os.path.join(root, "trace.jsonl"))
         assert not os.path.exists(os.path.join(root, "telemetry.json"))
-        assert not os.path.exists(
-            os.path.join(root, "run-000", "telemetry.json")
-        )
+        runs = fold_journal(os.path.join(root, JOURNAL_NAME))[1]
+        assert "telemetry" not in runs[0]
         # The legacy log and journal are unconditional.
         assert os.path.exists(os.path.join(root, "controller.log"))
         assert os.path.exists(os.path.join(root, JOURNAL_NAME))
@@ -424,10 +496,12 @@ class TestReport:
 class TestSchemas:
     def test_all_artifacts_validate(self, result_dir):
         validated = validate_experiment(result_dir)
-        # trace + aggregate telemetry/health + per-run telemetry/health
-        # (the fleet DAG is derived from trace.jsonl, not a file)
-        assert len(validated) == 11
+        # trace + aggregate telemetry/health + the journal, whose run
+        # records embed the per-run telemetry/health (the fleet DAG is
+        # derived from trace.jsonl, not a file)
+        assert len(validated) == 4
         assert any(path.endswith("/trace.jsonl") for path in validated)
+        assert any(path.endswith("/" + JOURNAL_NAME) for path in validated)
         assert not any("fleet-trace" in path for path in validated)
         assert any(path.endswith("health.json") for path in validated)
 
@@ -435,6 +509,23 @@ class TestSchemas:
         with open(os.path.join(tmp_path, "trace.jsonl"), "w") as handle:
             handle.write('{"seq": 0, "name": "run"}\n')  # missing keys
         with pytest.raises(SchemaError, match="trace.jsonl:1"):
+            validate_experiment(str(tmp_path))
+
+    @pytest.mark.parametrize("field", ["telemetry", "health"])
+    def test_embedded_run_evidence_violation_names_the_line(
+        self, tmp_path, result_dir, field,
+    ):
+        with open(os.path.join(result_dir, JOURNAL_NAME)) as handle:
+            lines = handle.readlines()
+        record = json.loads(lines[2])  # header, run 0, run 1
+        assert record["index"] == 1
+        record[field] = {"run": 1}  # spans/metrics or nodes missing
+        lines[2] = json.dumps(record, sort_keys=True) + "\n"
+        with open(os.path.join(tmp_path, JOURNAL_NAME), "w") as handle:
+            handle.writelines(lines)
+        with pytest.raises(
+            SchemaError, match=rf"journal\.jsonl:3: \$\.{field}: missing"
+        ):
             validate_experiment(str(tmp_path))
 
     def test_aggregate_violation_detected(self, tmp_path):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 
 from repro.casestudy import run_case_study
+from repro.core import yamlite
 from repro.core.errors import EvaluationError, ResultError
 from repro.evaluation.loader import load_experiment
 from repro.evaluation.plotter import (
@@ -14,6 +16,7 @@ from repro.evaluation.plotter import (
     plot_experiment,
     throughput_figure,
 )
+from repro.faults.plan import FaultPlan, FaultSpec
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,44 @@ class TestLoader:
     def test_inventory_records_testbed(self, pos_results):
         assert "testbed" in pos_results.inventory
         assert pos_results.inventory["nodes"]["tartu"]["power"]["protocol"] == "ipmi"
+
+
+class TestOlderLayout:
+    def test_status_yml_tree_loads_with_the_same_ok(self, tmp_path):
+        """A tree whose roles carry ``status.yml`` and whose metadata has
+        no ``scripts:`` block (the layout published before the status
+        moved into ``metadata.yml``) evaluates exactly as before."""
+        handle = run_case_study(
+            "pos", str(tmp_path / "new"), rates=[200_000, 400_000],
+            sizes=(64,), duration_s=0.05, interval_s=0.02,
+            on_error="continue", script_style="shell",
+            fault_plan=FaultPlan(
+                [FaultSpec(kind="script", runs=(1,), times=1)], seed=11
+            ),
+        )
+        new = load_experiment(handle.result_path)
+        assert [run.ok for run in new.runs] == [True, False]
+
+        old_path = str(tmp_path / "old")
+        shutil.copytree(handle.result_path, old_path)
+        for entry in os.listdir(old_path):
+            if not entry.startswith("run-"):
+                continue
+            metadata_path = os.path.join(old_path, entry, "metadata.yml")
+            metadata = yamlite.load_file(metadata_path)
+            for role, status in metadata.pop("scripts").items():
+                yamlite.dump_file(
+                    status, os.path.join(old_path, entry, role, "status.yml")
+                )
+            yamlite.dump_file(metadata, metadata_path)
+        old = load_experiment(old_path)
+        assert [run.ok for run in old.runs] == [True, False]
+        assert [run.status for run in old.runs] == [
+            run.status for run in new.runs
+        ]
+        assert [run.outputs for run in old.runs] == [
+            run.outputs for run in new.runs
+        ]
 
 
 class TestThroughputFigure:

@@ -42,8 +42,13 @@ def build_chain(sim, nic_class=HardwareNic, seed=3, generator=MoonGen,
 
 
 def run_once(batched, rate_pps, frame_size, duration_s=0.05, pattern="cbr",
-             interval_s=0.01, seed=3, generator=MoonGen, gate=None):
-    """One full measurement on a fresh world; returns all observables."""
+             interval_s=0.01, seed=3, generator=MoonGen, gate=None,
+             gate_opens_at=None):
+    """One full measurement on a fresh world; returns all observables.
+
+    ``gate_opens_at`` closes the router's admission gate and schedules
+    its opening at that instant, inside the run when it is early enough.
+    """
     previous = os.environ.get("POS_NETSIM_BATCH")
     os.environ["POS_NETSIM_BATCH"] = "1" if batched else "0"
     fastpath.enabled.refresh()
@@ -52,6 +57,10 @@ def run_once(batched, rate_pps, frame_size, duration_s=0.05, pattern="cbr",
         gen, router = build_chain(sim, seed=seed, generator=generator)
         if gate is not None:
             router.gate = gate
+        if gate_opens_at is not None:
+            state = {"open": False}
+            router.gate = lambda: state["open"]
+            sim.schedule(gate_opens_at, state.update, {"open": True})
         job = gen.start(
             rate_pps=rate_pps, frame_size=frame_size,
             duration_s=duration_s, pattern=pattern, interval_s=interval_s,
@@ -123,6 +132,17 @@ class TestExactEquivalence:
         )
         assert legacy["job"][1] == 0
         assert legacy["router"]["backlog_dropped"] == legacy["router"]["received"]
+
+    def test_gate_flip_mid_run_matches_event_path(self):
+        # The DuT's gate opens 10 ms into a 50 ms run (an ablated setup
+        # barrier).  The replay cannot model the flip, so the batched
+        # run must take the event path and lose the first fifth.
+        legacy, batched = assert_equivalent(
+            rate_pps=100_000, frame_size=64, gate_opens_at=0.01,
+        )
+        tx, rx = legacy["job"][:2]
+        assert 1 - rx / tx == pytest.approx(0.2, abs=0.01)
+        assert batched["events"] == legacy["events"]
 
     def test_osnt_timestamps_every_frame(self):
         legacy, batched = assert_equivalent(
@@ -340,6 +360,23 @@ class TestCompileEligibility:
         router.pause()
         assert fastpath.compile_dag(gen) is None
         assert fastpath._compile(gen) == "vdut: paused at compile time"
+
+    def test_pending_foreign_event_rejected(self):
+        sim = Simulator()
+        gen, router = build_chain(sim)
+
+        def close_gate():
+            router.gate = lambda: False
+
+        sim.schedule(1.0, close_gate)
+        assert fastpath.compile_dag(gen) is None
+        assert fastpath._compile(gen) == (
+            "simulator: TestCompileEligibility.test_pending_foreign_event_"
+            "rejected.<locals>.close_gate is scheduled, the replay does not "
+            "model it"
+        )
+        sim.run()
+        assert fastpath.compile_dag(gen) is not None
 
     def test_busy_stage_rejected(self):
         sim = Simulator()
