@@ -246,18 +246,26 @@ class MoonGen:
 
     # -- transmit ------------------------------------------------------------
 
+    def frame(self, seq: int, frame_size: int, flows: int = 1) -> Packet:
+        """The frame sent as number ``seq``, without its timestamp.
+
+        The event path sends it; the fast path replays it (its source
+        is what a learning bridge on the way learns).
+        """
+        return Packet(
+            seq=seq,
+            frame_size=frame_size,
+            flow=seq % flows,
+            src=self.tx_nic.name,
+            dst=self.rx_nic.name,
+        )
+
     def _send_next(self) -> None:
         job = self._job
         if job is None or job.finished or self.sim.now >= self._deadline:
             return
         self._roll_interval()
-        packet = Packet(
-            seq=self._seq,
-            frame_size=job.frame_size,
-            flow=self._seq % job.flows,
-            src=f"{self.tx_nic.name}",
-            dst=f"{self.rx_nic.name}",
-        )
+        packet = self.frame(self._seq, job.frame_size, job.flows)
         self._seq += 1
         if job.timestamping and packet.seq % self.latency_sample_every == 0:
             packet.tx_time = self.sim.now

@@ -19,7 +19,6 @@ from repro.loadgen.moongen import MoonGen, MoonGenJob
 
 from repro.netsim.engine import Simulator
 from repro.netsim.nic import HardwareNic, Nic
-from repro.netsim.packet import Packet
 
 __all__ = ["Osnt"]
 
@@ -59,7 +58,7 @@ class Osnt(MoonGen):
         if job is None or job.finished or self.sim.now >= self._deadline:
             return
         self._roll_interval()
-        packet = Packet(seq=self._seq, frame_size=job.frame_size)
+        packet = self.frame(self._seq, job.frame_size)
         self._seq += 1
         # Hardware timestamping of *every* frame.
         packet.tx_time = self.sim.now

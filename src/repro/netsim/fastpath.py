@@ -46,14 +46,24 @@ with a C-level check before committing any state:
 * **critical** (service ≈ spacing — an egress NIC fed frames spaced
   exactly one serialization time apart, where rounding leaves 1-ulp
   waits): the max-plus recurrence ``f = max(a, f) + s`` as one
-  ``accumulate``; verified by the ring never filling
-  (``P[i - cap] <= A[i]`` for the ring pop times ``P``).
+  ``accumulate``, or the plain chain ``accumulate(repeat(s))`` when
+  every frame arrives by its predecessor's completion; verified by the
+  ring never filling (``P[i - cap] <= A[i]`` for the ring pop times
+  ``P``).
 * **saturated** (service > spacing): the server is busy from the first
   admitted frame, so completions are the chain ``accumulate(repeat(s))``
   and the m-th admitted frame is the first arrival at or after the pop
-  time ``P[m - cap]``; admitted positions come from ``bisect`` plus a
-  running maximum, verified by every admitted frame arriving no later
-  than its predecessor's completion.
+  time ``P[m - cap]``.  When every arrival gap is below every ring-pop
+  gap (``s`` less one ulp of the last completion), the ring has two
+  slots or more and the free-slot admissions check out one by one,
+  that proves both the admissions and the busy premise, and the
+  admissions stay implicit (:class:`_Admitted`): a prefix count,
+  ``k0 + bisect_right(pops, a)``, which interval counters, latency
+  samples and further stages query.  An RSS or VM stage, or a second
+  dropping stage, lists them.  Otherwise (Poisson bursts, a one-slot
+  ring, a block whose pops outrun its arrivals) admitted positions
+  come from ``bisect`` plus a running maximum, verified by every
+  admitted frame arriving no later than its predecessor's completion.
 
 A regime whose check fails hands the block to the next more general
 one (under-loaded → critical → saturated) and finally to the
@@ -130,7 +140,7 @@ from repro.netsim.bridge import LinuxBridge
 from repro.netsim.engine import PeriodicTimer
 from repro.netsim.multicore import MultiCoreRouter
 from repro.netsim.nic import Nic
-from repro.netsim.packet import Packet, wire_bits
+from repro.netsim.packet import MIN_FRAME_SIZE, Packet, wire_bits
 from repro.netsim.router import ForwardingDevice
 from repro.netsim.vm import Hypervisor, VirtualizedLinuxRouter
 from repro.telemetry import context as _telemetry
@@ -368,7 +378,7 @@ def _compile(moongen):
         return f"{rx.name}: RX port is not owned by the generator"
     if not _ingress_ready(rx):
         return f"{rx.name}: RX port has no handler or a receive backlog"
-    dst_key = rx.name
+    dst_key = moongen.frame(0, MIN_FRAME_SIZE).dst
     stages: List[StageSpec] = []
     seen: set = set()
     nic = tx
@@ -674,21 +684,32 @@ def _underloaded(q: _Queue, A: List[float]):
 
 
 def _critical(q: _Queue, A: List[float]):
-    """No frame is dropped: the max-plus recurrence as one accumulate."""
+    """No frame is dropped: the max-plus recurrence as one accumulate.
+
+    While every frame arrives no later than its predecessor completes,
+    the recurrence is the plain ``+ s`` chain, which runs without a
+    Python call per frame; a block the chain does not cover takes the
+    recurrence.
+    """
     s = q.service
     a0 = A[0]
     free = q.free
     first = a0 if a0 >= free else free
-    rest = islice(A, 1, None)
-    if q.pops_at_start:
+    C = list(accumulate(repeat(s, len(A)), initial=first))
+    if all(map(le, islice(A, 1, None), islice(C, 1, None))):
+        F = C[1:]
+        P = C[:-1] if q.pops_at_start else F
+    elif q.pops_at_start:
         S = list(accumulate(
-            rest, lambda st, a: a if a >= (f := st + s) else f, initial=first,
+            islice(A, 1, None), lambda st, a: a if a >= (f := st + s) else f,
+            initial=first,
         ))
         F = [x + s for x in S]
         P = S
     else:
         F = list(accumulate(
-            rest, lambda f, a: (a if a >= f else f) + s, initial=first + s,
+            islice(A, 1, None), lambda f, a: (a if a >= f else f) + s,
+            initial=first + s,
         ))
         P = F
     # Frame i is admitted iff the pop cap frames before it happened by
@@ -699,19 +720,93 @@ def _critical(q: _Queue, A: List[float]):
     return q.depart(F), None
 
 
+class _Admitted:
+    """The frames a saturated block admitted, held as a count.
+
+    Built by :func:`_implicit` once the block proved that the k-th
+    admission is arrival ``max(k, bisect_left(A, pops[k - k0]))``:
+    :meth:`count` answers how many of arrivals ``[0, i)`` entered the
+    ring with one bisect, :meth:`sends` lists them (one bisect each).
+    """
+
+    __slots__ = ("A", "pops", "k0", "K")
+
+    def __init__(self, A: List[float], pops: List[float], k0: int, K: int):
+        self.A = A
+        self.pops = pops
+        self.k0 = k0
+        self.K = K
+
+    def count(self, i: int) -> int:
+        if not i:
+            return 0
+        return min(i, self.K, self.k0 + bisect_right(self.pops, self.A[i - 1]))
+
+    def sends(self, base: int = 0) -> List[int]:
+        """The admitted positions, shifted by ``base``."""
+        K = self.K
+        k0 = min(self.k0, K)
+        idx = list(range(k0))
+        idx += map(max, range(k0, K),
+                   map(bisect_left, repeat(self.A), self.pops[:K - k0]))
+        return [base + i for i in idx] if base else idx
+
+
+def _implicit(q: _Queue, A: List[float], F: List[float], pops: List[float],
+              k0: int) -> Optional[_Admitted]:
+    """The block's admissions as an :class:`_Admitted`, when provable.
+
+    The k-th admission is the first arrival after admission ``k - 1``
+    at or after ``pops[k - k0]`` (``b[k - k0]``, by bisect).  When every
+    ring-pop interval ``[pops[j], pops[j + 1])`` holds an arrival, ``b``
+    grows strictly and that is ``max(k, b[k - k0])``: no running max,
+    and the admissions among arrivals ``[0, i)`` number
+    ``min(i, K, k0 + bisect_right(pops, A[i - 1]))``.  Proof:
+
+    * every arrival gap is below ``s - ulp(F[-1])``, and every pop gap
+      of a FIFO with service ``s`` is at least ``s - ulp(F[-1]) / 2``
+      (a pop follows the previous one by a rounded ``+ s`` no later
+      than ``F[-1]``), so an arrival follows the last one before a pop
+      by less than the gap to the next pop;
+    * no pop of ``pops`` falls before ``A[0]`` except ``P[0]`` when the
+      tail is empty (:func:`_saturated` drops the expired ones), so the
+      first interval holds ``A[0]``;
+    * the busy premise follows from the same bound: a frame admitted
+      at ``b[j]`` arrives before ``pops[j + 1]``, which with ``cap >= 2``
+      is no later than its predecessor's completion, and a frame
+      admitted right after its predecessor arrives less than one chain
+      step after it;
+    * only the first ``k0`` free-slot admissions are checked one by one.
+    """
+    br = bisect_right(pops, A[-1])
+    K = min(len(A), k0 + br)
+    if q.cap < 2 or br == len(pops) or K > len(F):
+        return None
+    if not all(map(le, islice(A, 1, min(k0, K)), F)):
+        return None
+    if max(map(sub, A[1:], A), default=0.0) >= q.service - math.ulp(F[-1]):
+        return None
+    return _Admitted(A, pops, k0, K)
+
+
 def _saturated(q: _Queue, A: List[float], bounded: bool = True):
     """The server stays busy: completions form one ``+ s`` chain.
 
     With the chain known, ring admission decouples from service: the
     k-th admitted frame is the first arrival after the ring pop
     ``cap`` admissions earlier, ``(tail + P)[k - k0]`` with
-    ``k0 = cap - len(tail)``.  Its position is
-    ``k + running max(bisect(A, pop) - k)``; the busy premise is then
+    ``k0 = cap - len(tail)``.  When :func:`_implicit` proves the
+    admissions, they stay a count; otherwise their positions are
+    ``k + running max(bisect(A, pop) - k)`` and the busy premise is
     checked on the admitted frames.
     """
     s = q.service
     tail = q.tail
     n = len(A)
+    # A pop at or before the first arrival has freed its slot already.
+    expired = bisect_right(tail, A[0])
+    if expired:
+        tail = tail[expired:]
     k0 = q.cap - len(tail)
     i0 = bisect_left(A, tail[0]) if k0 == 0 else 0
     if i0 == n:
@@ -731,6 +826,9 @@ def _saturated(q: _Queue, A: List[float], bounded: bool = True):
         idx = None
         K = n
         busy = all(map(le, islice(A, 1, None), F))
+    elif (idx := _implicit(q, A, F, tail + P, k0)) is not None:
+        K = idx.K
+        busy = True
     else:
         pops = (tail + P)[:max(most - k0, 0)]
         terms = list(map(sub, map(bisect_left, repeat(A), pops),
@@ -780,13 +878,43 @@ def _queue_loop(q: _Queue, A: List[float]):
     return q.depart(F), (None if len(idx) == len(A) else idx)
 
 
-def _survivors(G: Optional[List[int]], idx: Optional[List[int]],
-               base: int) -> Optional[List[int]]:
-    """Send indices of the frames a stage admitted (None: all of G)."""
+def _sends(G, base: int, n: int):
+    """The send index of each of a block's ``n`` arrivals, in order.
+
+    ``G`` is None (sends ``base, base + 1, ...``), a sorted list of send
+    indices, or an :class:`_Admitted` over the block's sends, which is
+    listed here at the cost of one bisect per frame.
+    """
+    if G is None:
+        return range(base, base + n)
+    if type(G) is _Admitted:
+        return G.sends(base)
+    return G
+
+
+def _kept(G, base: int, i: int) -> int:
+    """How many of the block's sends ``base .. base + i - 1`` are in ``G``."""
+    if type(G) is _Admitted:
+        return G.count(i)
+    return bisect_left(G, base + i)
+
+
+def _survivors(G, idx, base: int):
+    """Send indices of the frames a stage admitted (None: all of G).
+
+    An implicit admission stays implicit while it is the only one; a
+    second dropping stage lists both.
+    """
     if idx is None:
         return G
+    if type(idx) is _Admitted:
+        if G is None:
+            return idx
+        idx = idx.sends()
     if G is None:
         return [base + i for i in idx]
+    if type(G) is _Admitted:
+        G = G.sends(base)
     return [G[i] for i in idx]
 
 
@@ -923,7 +1051,7 @@ class _RssStage:
         out = self.held
         held = len(out)
         key = self.arrived
-        for a, g in zip(A, range(base, base + n) if G is None else G):
+        for a, g in zip(A, _sends(G, base, n)):
             key += 1
             core = (seq0 + g) % flows % cores
             cpops = pops[core]
@@ -1119,7 +1247,7 @@ class _VmStage:
         backlog = self.backlog
         limit = self.device.backlog_limit
         step = self._step
-        for f, g in zip(A, range(base, base + n) if G is None else G):
+        for f, g in zip(A, _sends(G, base, n)):
             a = f + wire
             while step(out, sent, a, f):
                 pass
@@ -1144,7 +1272,7 @@ class _VmStage:
 
 def _interval_counts(counts: List[int], bounds: List[float],
                      times: List[float], total: int,
-                     G: Optional[List[int]] = None, base: int = 0) -> None:
+                     G=None, base: int = 0) -> None:
     """Add a block's counted events to the per-interval ``counts``.
 
     ``times`` is sorted; an event at ``t`` belongs to interval
@@ -1157,7 +1285,7 @@ def _interval_counts(counts: List[int], bounds: List[float],
     for j in range(lo, hi):
         upto = bisect_left(times, bounds[j])
         if G is not None:
-            upto = bisect_left(G, base + upto)
+            upto = _kept(G, base, upto)
         counts[j] += upto - done
         done = upto
     counts[hi] += total - done
@@ -1198,10 +1326,7 @@ class _Replay:
 
         # Nominal spacing entering each stage picks its regime.
         bits = wire_bits(frame)
-        probe = Packet(
-            seq=0, frame_size=frame, flow=0,
-            src=spec.tx_nic.name, dst=spec.rx_nic.name,
-        )
+        probe = moongen.frame(0, frame)
         self.stages = [_NicStage(spec.tx_nic, spec.tx_post_delay_s, bits,
                                  frame, gap)]
         spacing = self.stages[0].spacing_out
@@ -1293,10 +1418,10 @@ class _Replay:
         else:
             # This block's survivors, in send order: look each
             # timestamped send up instead of scanning every frame.
-            for g in range(base + (first - base) % every, base + len(T), every):
-                k = bisect_left(G, g, 0, c)
-                if k < c and G[k] == g:
-                    samples.append(D[k] - T[g - base])
+            for i in range((first - base) % every, len(T), every):
+                k = _kept(G, base, i)
+                if k < c and _kept(G, base, i + 1) > k:
+                    samples.append(D[k] - T[i])
 
     def flush(self) -> None:
         """Release what stages held back once the sends ran out."""

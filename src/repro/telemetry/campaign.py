@@ -111,9 +111,11 @@ class CampaignTelemetry:
             if payload is None:
                 continue
             found = True
-            for entry in payload.get("nodes", {}).values():
-                kind = str(entry.get("observation", "unknown"))
-                observations[kind] = observations.get(kind, 0) + 1
+            # Each node of an experiment's aggregate counts its runs'
+            # observations per kind; the roll-up sums those counts.
+            for node in payload.get("nodes", {}).values():
+                for kind, count in node.get("observations", {}).items():
+                    observations[kind] = observations.get(kind, 0) + int(count)
         if not found:
             return None
         return {"node_observations": observations}

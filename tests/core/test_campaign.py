@@ -394,6 +394,18 @@ class TestRunCampaign:
             "sweep-a", "sweep-b"
         ]
 
+    def test_health_rollup_counts_every_node_observation(self, tmp_path):
+        # Two experiments over three nodes, one run each: three
+        # observations, each of a known kind.
+        path = write_campaign_file(tmp_path / "c.yml", SMALL_CAMPAIGN)
+        target = str(tmp_path / "out")
+        run_campaign(path, target, jobs=1)
+        with open(os.path.join(target, "campaign.json")) as handle:
+            observations = json.load(handle)["health"]["node_observations"]
+        assert "unknown" not in observations
+        assert sum(observations.values()) == 3
+        assert observations["healthy"] == 3
+
     def test_journal_entries_follow_admission_order(self, tmp_path):
         path = write_campaign_file(tmp_path / "c.yml", SMALL_CAMPAIGN)
         target = str(tmp_path / "out")

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.loadgen.moongen import MoonGen
+from repro.loadgen.osnt import Osnt
 from repro.netsim import fastpath
 from repro.netsim.asicswitch import AsicSwitch
 from repro.netsim.bridge import LinuxBridge
@@ -30,7 +31,7 @@ from repro.netsim.router import LinuxRouter
 KINDS = ("router", "multicore", "bridge", "asic")
 
 
-def build_dag(sim, kinds, seed=3, cores=4):
+def build_dag(sim, kinds, seed=3, cores=4, generator=MoonGen):
     """Wire tx -> [one device per kind] -> rx as a feed-forward chain."""
     tx = HardwareNic(sim, "lg.tx")
     rx = HardwareNic(sim, "lg.rx")
@@ -58,7 +59,9 @@ def build_dag(sim, kinds, seed=3, cores=4):
         upstream = p1
         devices.append(device)
     DirectWire(sim, upstream, rx)
-    return MoonGen(sim, tx, rx, seed=seed), devices
+    if generator is Osnt:
+        return Osnt(sim, tx, rx), devices
+    return generator(sim, tx, rx, seed=seed), devices
 
 
 def observe(gen, devices, job, sim):
@@ -91,20 +94,23 @@ def observe(gen, devices, job, sim):
 
 def run_topology(batched, kinds, rate_pps, frame_size, pattern="cbr",
                  seed=3, flows=1, cores=4, duration_s=0.01,
-                 interval_s=0.005, runs=1):
+                 interval_s=0.005, runs=1, generator=MoonGen):
     previous = os.environ.get("POS_NETSIM_BATCH")
     os.environ["POS_NETSIM_BATCH"] = "1" if batched else "0"
     fastpath.enabled.refresh()
     try:
         sim = Simulator()
-        gen, devices = build_dag(sim, kinds, seed=seed, cores=cores)
+        gen, devices = build_dag(sim, kinds, seed=seed, cores=cores,
+                                 generator=generator)
+        # OSNT sends one flow and takes no flow count.
+        options = {"flows": flows} if flows != 1 else {}
         job = None
         for number in range(runs):
             gen.reseed(seed)
             job = gen.start(
                 rate_pps=rate_pps, frame_size=frame_size,
                 duration_s=duration_s, interval_s=interval_s,
-                pattern=pattern, flows=flows,
+                pattern=pattern, **options,
             )
             sim.run(until=sim.now + duration_s + 0.05)
             assert job.finished
@@ -130,7 +136,10 @@ def assert_equivalent(**kwargs):
 class TestRandomizedTopologies:
     @given(
         kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
-        rate_pps=st.sampled_from([150_000, 400_000, 800_000]),
+        # 2 and 4 Mpps overload the DuTs, and 1500 B frames the line;
+        # at these rates a run spans several blocks.
+        rate_pps=st.sampled_from([150_000, 400_000, 800_000,
+                                  2_000_000, 4_000_000]),
         frame_size=st.sampled_from([64, 512, 1500]),
         pattern=st.sampled_from(["cbr", "poisson"]),
         seed=st.integers(min_value=0, max_value=2**16),
@@ -203,6 +212,24 @@ class TestOverloadEquivalence:
             kinds=["asic", "multicore", "bridge", "router"],
             rate_pps=600_000, frame_size=64, flows=4,
         )
+
+    def test_osnt_behind_a_learning_bridge(self):
+        # OSNT builds its frames like MoonGen, so the bridge learns the
+        # generator's port on the event path just as the replay does.
+        legacy, events_l, events_b, __ = assert_equivalent(
+            kinds=["bridge"], rate_pps=200_000, frame_size=64,
+            generator=Osnt,
+        )
+        assert legacy["dev0.fdb"] == {"lg.tx": "d0.p0"}
+        assert len(legacy["latency"]) == legacy["job"][1]
+        assert events_b < events_l
+
+    def test_osnt_through_a_match_action_switch(self):
+        # The switch matches OSNT frames on their destination.
+        legacy, *_ = assert_equivalent(
+            kinds=["asic"], rate_pps=200_000, frame_size=64, generator=Osnt,
+        )
+        assert legacy["dev0"][0] > 0 and legacy["dev0"][1] == 0
 
 
 class TestEventReductionGates:

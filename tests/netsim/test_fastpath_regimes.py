@@ -12,6 +12,7 @@ event path.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -151,6 +152,16 @@ class TestRegimes:
             assert len(state["latency"]) > 100
         assert_regimes(regimes, {"_saturated", "_underloaded"})
 
+    @pytest.mark.parametrize("backlog", [1000, 1])
+    def test_two_dropping_stages(self, backlog):
+        # The generator's ring and the bridge behind it both drop: the
+        # bridge lists the ring's implicit admissions, whether its own
+        # stay implicit (1000 slots) or are listed too (one slot).
+        (state,) = assert_exact(kinds=("bridge",), rate_pps=4_000_000,
+                                frame_size=1500, backlog=backlog)
+        assert state["tx_nic"]["tx_dropped"] > 0
+        assert state["dev0"]["backlog_dropped"] > 0
+
     def test_one_slot_backlog_falls_back_exactly(self, regimes):
         # With one backlog slot an overloaded DuT admits a frame only
         # once it is idle, so the stage is neither busy nor drop-free:
@@ -193,25 +204,55 @@ class TestRegimeAlgebra:
     @settings(max_examples=300, deadline=None)
     def test_regime_equals_loop(self, regime, cap, pops_at_start, post,
                                 start, blocks):
-        column = fastpath._Queue(SERVICE, cap, post, pops_at_start, 1.0)
-        loop = fastpath._Queue(SERVICE, cap, post, pops_at_start, 1.0)
-        t = start
-        for gaps in blocks:
-            arrivals = []
-            for gap in gaps:
-                t = t + gap * SERVICE
-                arrivals.append(t)
-            n = len(arrivals)
-            served = getattr(fastpath, regime)(column, list(arrivals))
-            if served is None:
-                served = fastpath._queue_loop(column, list(arrivals))
-            want = fastpath._queue_loop(loop, list(arrivals))
-            assert served[0] == want[0]
-            admitted = [list(range(n)) if idx is None else idx
-                        for idx in (served[1], want[1])]
-            assert admitted[0] == admitted[1]
-            assert column.free == loop.free
-            assert _pending(column, t) == _pending(loop, t)
+        _assert_blocks_equal_loop(regime, cap, pops_at_start, post, start,
+                                  blocks)
+
+    @given(
+        cap=st.integers(min_value=2, max_value=5),
+        pops_at_start=st.booleans(),
+        start=st.sampled_from([0.0, 1000.0]),
+        blocks=st.lists(
+            st.lists(st.sampled_from([0.0, 0.5, 0.9, 0.999999, 1.0]),
+                     min_size=1, max_size=60),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_overloaded_blocks_equal_loop(self, cap, pops_at_start, start,
+                                          blocks):
+        # Arrivals mostly faster than service, with gaps a hair below
+        # and exactly at the service time: where the implicit
+        # admissions are proved, and where the proof just fails.
+        _assert_blocks_equal_loop("_saturated", cap, pops_at_start, 0.0,
+                                  start, blocks)
+
+
+def _assert_blocks_equal_loop(regime, cap, pops_at_start, post, start, blocks):
+    column = fastpath._Queue(SERVICE, cap, post, pops_at_start, 1.0)
+    loop = fastpath._Queue(SERVICE, cap, post, pops_at_start, 1.0)
+    t = start
+    for gaps in blocks:
+        arrivals = []
+        for gap in gaps:
+            t = t + gap * SERVICE
+            arrivals.append(t)
+        n = len(arrivals)
+        served = getattr(fastpath, regime)(column, list(arrivals))
+        if served is None:
+            served = fastpath._queue_loop(column, list(arrivals))
+        want = fastpath._queue_loop(loop, list(arrivals))
+        assert served[0] == want[0]
+        expected = list(range(n)) if want[1] is None else want[1]
+        got = served[1]
+        if isinstance(got, fastpath._Admitted):
+            # The implicit form answers every prefix count exactly and
+            # lists exactly the loop's admissions.
+            for i in range(n + 1):
+                assert got.count(i) == bisect_left(expected, i), i
+            got = got.sends()
+        assert (list(range(n)) if got is None else got) == expected
+        assert column.free == loop.free
+        assert _pending(column, t) == _pending(loop, t)
 
 
 class TestPosSweepEngagement:
@@ -235,6 +276,32 @@ class TestPosSweepEngagement:
             assert job.finished and job.rx_packets > 0
         assert _served(regimes) == {"_underloaded", "_critical", "_saturated"}
         assert not any(count for (__, ok), count in regimes.items() if not ok)
+
+    def test_fig3a_saturated_blocks_stay_implicit(self, monkeypatch):
+        # An exact kernel that lists every admitted frame again passes
+        # every equivalence test; this pins each saturated block of the
+        # sweep that drops frames to the implicit admissions.
+        forms: Counter = Counter()
+        original = fastpath._saturated
+
+        def spy(*args, **kwargs):
+            served = original(*args, **kwargs)
+            admitted = None if served is None else served[1]
+            forms[type(admitted).__name__, bool(admitted)] += 1
+            return served
+
+        monkeypatch.setattr(fastpath, "_saturated", spy)
+        setup = boot_and_configure(build_pos_pair(seed=0))
+        for index, (size, rate) in enumerate(
+            (size, rate) for size in (64, 1500) for rate in POS_RATES
+        ):
+            setup.begin_run(index)
+            setup.loadgen.start(rate_pps=rate, frame_size=size,
+                                duration_s=0.02, interval_s=0.01)
+            setup.sim.run(until=setup.sim.now + 0.07)
+        # Blocks that admit every frame return None; none lists.
+        assert set(forms) == {("_Admitted", True), ("NoneType", False)}
+        assert forms["_Admitted", True] > 100
 
 
 class _Tools:
