@@ -12,11 +12,9 @@ crash+resume the journal is byte-identical to an uninterrupted one.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.core.errors import JournalError
-from repro.core.journal import JOURNAL_NAME, JsonlJournal
+from repro.core.journal import JsonlJournal
 
 __all__ = ["CampaignJournal"]
 
@@ -24,27 +22,10 @@ __all__ = ["CampaignJournal"]
 class CampaignJournal(JsonlJournal):
     """Append-only, fsync'd record of finished campaign experiments."""
 
-    @classmethod
-    def create(cls, campaign_dir: str, campaign: str, total: int)\
-            -> "CampaignJournal":
-        """Start a fresh journal for a new campaign execution."""
-        journal = cls(os.path.join(campaign_dir, JOURNAL_NAME))
-        journal._open("w")
-        journal._append(
-            {"event": "campaign", "name": campaign, "total_experiments": total}
-        )
-        return journal
-
-    @classmethod
-    def open(cls, campaign_dir: str) -> "CampaignJournal":
-        """Load an existing campaign journal, keeping it appendable."""
-        path = os.path.join(campaign_dir, JOURNAL_NAME)
-        journal = cls._load(path)
-        if not journal.entries or journal.entries[0].get("event") != "campaign":
-            raise JournalError(f"journal {path} has no campaign header")
-        return journal
-
-    # -- writing -------------------------------------------------------------
+    HEADER = "campaign"
+    RECORD = "experiment"
+    TOTAL = "total_experiments"
+    CHECKED_AGAINST = "the plan admits"
 
     def record_experiment(
         self,
@@ -72,35 +53,3 @@ class CampaignJournal(JsonlJournal):
         if error is not None:
             entry["error"] = error
         self._append(entry)
-
-    # -- reading -------------------------------------------------------------
-
-    def experiment_entries(self) -> List[dict]:
-        return [
-            entry for entry in self.entries if entry.get("event") == "experiment"
-        ]
-
-    def completed(self) -> Dict[int, dict]:
-        """Latest journal entry per execution index that finished ok."""
-        latest: Dict[int, dict] = {}
-        for entry in self.experiment_entries():
-            latest[int(entry["index"])] = entry
-        return {
-            index: entry
-            for index, entry in latest.items()
-            if entry.get("ok", False)
-        }
-
-    def validate_against(self, campaign: str, total: int) -> None:
-        """Refuse to resume a journal written by a different campaign."""
-        header = self.header
-        if header.get("name") != campaign:
-            raise JournalError(
-                f"journal belongs to campaign {header.get('name')!r}, "
-                f"not {campaign!r}"
-            )
-        if header.get("total_experiments") != total:
-            raise JournalError(
-                f"journal expects {header.get('total_experiments')} "
-                f"experiments, the plan admits {total} — refusing to resume"
-            )

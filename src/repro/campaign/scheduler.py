@@ -50,6 +50,7 @@ from repro.core.calendar import Calendar
 from repro.core.errors import CampaignError
 from repro.core.scheduler import ReorderBuffer, resolve_jobs
 from repro.telemetry.campaign import CampaignTelemetry
+from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
 from repro.testbed.node import Node, NodeState
 
 __all__ = ["CampaignResult", "run_campaign", "campaign_status"]
@@ -273,15 +274,23 @@ def run_campaign(
                         f"{index}, found {popped}"
                     )
 
-    def eligible(placement: Placement) -> bool:
-        """Heads every booked node's wait-list and the nodes are FREE."""
+    def claim(placement: Placement) -> Optional[dict]:
+        """Claim an eligible experiment's nodes and return its execution
+        request; ``None`` while it does not head every booked node's
+        wait-list or a node is not FREE."""
+        index = placement.execution_index
         for node in placement.nodes:
             queue = calendar.waiting(node)
-            if not queue or queue[0] != placement.execution_index:
-                return False
+            if not queue or queue[0] != index:
+                return None
             if allocator.nodes[node].state is not NodeState.FREE:
-                return False
-        return True
+                return None
+        claimed[index] = allocator.claim(reservations[index])
+        return _workload.execution_request(
+            campaign_dir, spec.base_epoch, placement,
+            "resume" if how_by_index[index] == "resume" else "fresh",
+            agents=agents,
+        )
 
     try:
         for placement in plan.dispatch_order():
@@ -311,20 +320,12 @@ def run_campaign(
             # Inline path: dispatch order *is* completion order, through
             # exactly the same worker function as the process pool.
             for placement in waiting:
-                if not eligible(placement):
+                request = claim(placement)
+                if request is None:
                     raise CampaignError(
                         f"experiment {placement.spec.name!r} is not "
                         f"dispatchable; the admission plan is inconsistent"
                     )
-                claimed[placement.execution_index] = allocator.claim(
-                    reservations[placement.execution_index]
-                )
-                how = how_by_index[placement.execution_index]
-                request = _workload.execution_request(
-                    campaign_dir, spec.base_epoch, placement,
-                    "resume" if how == "resume" else "fresh",
-                    agents=agents,
-                )
                 outcome = _workload.run_placement(request)
                 finish(placement.execution_index)
                 buffer.put(placement.execution_index, outcome)
@@ -337,22 +338,13 @@ def run_campaign(
                 def submit_ready() -> None:
                     remaining = []
                     for placement in pending:
-                        if eligible(placement):
-                            index = placement.execution_index
-                            claimed[index] = allocator.claim(
-                                reservations[index]
-                            )
-                            how = how_by_index[index]
-                            request = _workload.execution_request(
-                                campaign_dir, spec.base_epoch, placement,
-                                "resume" if how == "resume" else "fresh",
-                                agents=agents,
-                            )
+                        request = claim(placement)
+                        if request is None:
+                            remaining.append(placement)
+                        else:
                             futures[
                                 pool.submit(_workload.run_placement, request)
-                            ] = index
-                        else:
-                            remaining.append(placement)
+                            ] = placement.execution_index
                     pending[:] = remaining
 
                 submit_ready()
@@ -391,41 +383,21 @@ def run_campaign(
 
 def campaign_status(campaign_dir: str) -> str:
     """One-shot textual status of a campaign directory, artifacts only."""
-    import json
-
     admission_path = os.path.join(campaign_dir, "admission.jsonl")
     if not os.path.isfile(admission_path):
         raise CampaignError(f"no admission log at {admission_path}")
-    decisions: List[dict] = []
-    with open(admission_path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                decisions.append(json.loads(line))
-            except ValueError:
-                break
+    decisions = read_jsonl(admission_path)
     journaled: Dict[int, dict] = {}
     header: dict = {}
-    journal_path = os.path.join(campaign_dir, "journal.jsonl")
     complete = False
-    if os.path.isfile(journal_path):
-        with open(journal_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    break
-                if entry.get("event") == "campaign":
-                    header = entry
-                elif entry.get("event") == "experiment":
-                    journaled[int(entry["index"])] = entry
-                elif entry.get("event") == "complete":
-                    complete = True
+    journal_path = os.path.join(campaign_dir, "journal.jsonl")
+    for entry in read_jsonl_or_none(journal_path) or []:
+        if entry.get("event") == "campaign":
+            header = entry
+        elif entry.get("event") == "experiment":
+            journaled[int(entry["index"])] = entry
+        elif entry.get("event") == "complete":
+            complete = True
     lines = []
     name = header.get("name", os.path.basename(campaign_dir))
     lines.append(f"campaign: {name}")

@@ -179,10 +179,7 @@ def completed_counts(path: str) -> Dict[str, int]:
     """Run statistics of a finished experiment, from its journal alone."""
     journal = RunJournal.open(path)
     try:
-        runs = journal.run_entries()
-        latest: Dict[int, dict] = {}
-        for entry in runs:
-            latest[int(entry["index"])] = entry
+        latest = journal.latest()
         ok = sum(1 for entry in latest.values() if entry.get("ok"))
         return {"runs_completed": ok, "runs_failed": len(latest) - ok}
     finally:

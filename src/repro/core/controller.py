@@ -43,7 +43,6 @@ drift apart.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -64,6 +63,7 @@ from repro.core.scheduler import (
     POS_TOOLS_PATH,
     CachePlan,
     ParallelScheduler,
+    ReorderBuffer,
     RunRecord,
     WorkerEnv,
     resolve_jobs,
@@ -199,7 +199,7 @@ class Controller:
         agent count, placement, and crash schedule.
         """
         self._check_policy(on_error)
-        jobs, agents = self._check_execution_plane(
+        executor = self._check_execution_plane(
             jobs, worker_env, on_error, agents, transport, dist_fault_plan,
         )
         experiment.validate()
@@ -211,9 +211,7 @@ class Controller:
             on_error=on_error, max_runs=max_runs,
             setup_context_extra=setup_context_extra,
             on_run_complete=on_run_complete, resumed=False,
-            jobs=jobs, worker_env=worker_env,
-            agents=agents, transport=transport,
-            dist_fault_plan=dist_fault_plan,
+            executor=executor,
         )
 
     def resume(
@@ -244,7 +242,7 @@ class Controller:
         vice versa, with zero completed runs re-executed.
         """
         self._check_policy(on_error)
-        jobs, agents = self._check_execution_plane(
+        executor = self._check_execution_plane(
             jobs, worker_env, on_error, agents, transport, dist_fault_plan,
         )
         experiment.validate()
@@ -263,9 +261,7 @@ class Controller:
             on_error=on_error, max_runs=max_runs,
             setup_context_extra=setup_context_extra,
             on_run_complete=on_run_complete, resumed=True,
-            jobs=jobs, worker_env=worker_env,
-            agents=agents, transport=transport,
-            dist_fault_plan=dist_fault_plan,
+            executor=executor,
         )
 
     # -- workflow ---------------------------------------------------------------
@@ -275,29 +271,6 @@ class Controller:
         if on_error not in ("abort", "continue", "recover"):
             raise ExperimentError(f"unknown error policy {on_error!r}")
 
-    def _check_parallel(
-        self, jobs: Optional[int], worker_env: Optional[WorkerEnv],
-        on_error: str,
-    ) -> int:
-        """Validate the parallel-execution request; return the job count."""
-        jobs = resolve_jobs(jobs)
-        if jobs == 1:
-            return jobs
-        if worker_env is None:
-            raise ExperimentError(
-                "parallel execution (jobs > 1) needs a worker_env recipe "
-                "for building isolated per-worker testbed worlds"
-            )
-        if on_error == "continue":
-            raise ExperimentError(
-                "parallel execution supports on_error='abort' or 'recover'; "
-                "the 'continue' policy couples runs through shared "
-                "watchdog/quarantine state and cannot be sharded"
-            )
-        if self.fault_injector is not None:
-            _scheduler.validate_parallel_fault_plan(self.fault_injector.plan)
-        return jobs
-
     def _check_execution_plane(
         self,
         jobs: Optional[int],
@@ -306,46 +279,54 @@ class Controller:
         agents: Optional[int],
         transport: str,
         dist_fault_plan,
-    ) -> tuple:
-        """Validate how the measurement phase executes: sequential,
-        process pool (``jobs``), or distributed agents (``agents``).
-        Returns the resolved ``(jobs, agents)`` pair."""
-        from repro.dist import resolve_agents, validate_dist_fault_plan
+    ):
+        """Validate how the measurement phase executes; return the executor.
 
-        agents = resolve_agents(agents)
-        jobs = self._check_parallel(jobs, worker_env, on_error)
-        if agents == 0:
-            if dist_fault_plan is not None:
-                raise ExperimentError(
-                    "a dist fault plan needs the distributed plane; "
-                    "pass agents >= 1 (or --agents N)"
-                )
-            return jobs, agents
-        if jobs > 1:
+        ``None`` executes the runs inline, in this process; otherwise a
+        :class:`ParallelScheduler` (``jobs > 1``) or a
+        :class:`~repro.dist.DistScheduler` (``agents >= 1``) executes
+        the pending runs.  Every executor delivers through the same
+        :func:`~repro.core.scheduler.build_deliver`.
+        """
+        from repro.dist import DistScheduler, resolve_agents
+
+        jobs, agents = resolve_jobs(jobs), resolve_agents(agents)
+        if agents == 0 and dist_fault_plan is not None:
+            raise ExperimentError(
+                "a dist fault plan needs the distributed plane; "
+                "pass agents >= 1 (or --agents N)"
+            )
+        if jobs > 1 and agents > 0:
             raise ExperimentError(
                 "jobs and agents are mutually exclusive ways to "
                 "parallelize the measurement phase; pick one"
             )
+        if jobs == 1 and agents == 0:
+            return None
+        plane = (
+            "distributed execution (agents >= 1)" if agents
+            else "parallel execution (jobs > 1)"
+        )
         if worker_env is None:
             raise ExperimentError(
-                "distributed execution (agents >= 1) needs a worker_env "
-                "recipe for building isolated per-agent testbed worlds"
+                f"{plane} needs a worker_env recipe for building "
+                f"isolated testbed worlds"
             )
         if on_error == "continue":
             raise ExperimentError(
-                "distributed execution supports on_error='abort' or "
-                "'recover'; the 'continue' policy couples runs through "
-                "shared watchdog/quarantine state and cannot be sharded"
+                f"{plane} supports on_error='abort' or 'recover'; the "
+                f"'continue' policy couples runs through shared "
+                f"watchdog/quarantine state and cannot be sharded"
             )
         if self.fault_injector is not None:
             _scheduler.validate_parallel_fault_plan(self.fault_injector.plan)
-        validate_dist_fault_plan(dist_fault_plan)
-        if transport not in ("loopback", "pipe"):
-            raise ExperimentError(
-                f"unknown dist transport {transport!r} "
-                f"(known: loopback, pipe)"
+        if agents:
+            return DistScheduler(
+                agents, worker_env, self.recovery_policy,
+                transport=transport, fault_plan=dist_fault_plan,
+                quarantine_threshold=self.quarantine_threshold,
             )
-        return jobs, agents
+        return ParallelScheduler(jobs, worker_env, self.recovery_policy)
 
     @staticmethod
     def _total_runs(experiment: Experiment, max_runs: Optional[int]) -> int:
@@ -364,11 +345,7 @@ class Controller:
         setup_context_extra: Optional[dict],
         on_run_complete: Optional[Callable[[RunRecord, str], None]],
         resumed: bool,
-        jobs: int = 1,
-        worker_env: Optional[WorkerEnv] = None,
-        agents: int = 0,
-        transport: str = "loopback",
-        dist_fault_plan=None,
+        executor,
     ) -> ExperimentHandle:
         # ---- setup phase: allocate, configure, boot -------------------------
         allocation = self._allocator.allocate(
@@ -411,12 +388,8 @@ class Controller:
             measurement_span = log.begin_span("phase.measurement")
             self._measurement_phase(
                 experiment, allocation, store, exp_dir, handle, extra,
-                on_error=on_error, max_runs=max_runs,
-                on_run_complete=on_run_complete, log=log,
-                journal=journal, completed=completed,
-                jobs=jobs, worker_env=worker_env,
-                agents=agents, transport=transport,
-                dist_fault_plan=dist_fault_plan,
+                on_error, max_runs, on_run_complete, log, journal,
+                completed, executor,
             )
             log.finish_span(measurement_span)
             log.flush(fsync=True)
@@ -499,137 +472,92 @@ class Controller:
         extra: dict,
         on_error: str,
         max_runs: Optional[int],
-        on_run_complete: Optional[Callable[[RunRecord, str], None]] = None,
-        log: Optional[ExperimentTelemetry] = None,
-        journal: Optional[RunJournal] = None,
-        completed: Optional[Dict[int, dict]] = None,
-        jobs: int = 1,
-        worker_env: Optional[WorkerEnv] = None,
-        agents: int = 0,
-        transport: str = "loopback",
-        dist_fault_plan=None,
+        on_run_complete: Optional[Callable[[RunRecord, str], None]],
+        log: ExperimentTelemetry,
+        journal: RunJournal,
+        completed: Dict[int, dict],
+        executor,
     ) -> None:
         runs = experiment.variables.runs()
         if max_runs is not None:
             runs = runs[:max_runs]
         total = len(runs)
-        completed = completed or {}
-        health: Dict[str, int] = {}
-        injector = self.fault_injector
         cache_plan = self._cache_plan(experiment, runs, log)
-        if log is not None:
-            # Deliberately job-count-agnostic: the artifact tree of a
-            # parallel execution is byte-identical to a sequential one.
-            log.event(
-                f"measurement phase: {total} runs queued "
-                f"(cross product of loop variables)"
-            )
-        if agents > 0:
-            from repro.dist import DistScheduler
-
-            DistScheduler(
-                agents, worker_env, self.recovery_policy,
-                transport=transport, fault_plan=dist_fault_plan,
-                quarantine_threshold=self.quarantine_threshold,
-            ).execute(
-                experiment, runs, completed, exp_dir, journal, handle, log,
-                injector, on_error, on_run_complete=on_run_complete,
-                progress=self._progress, adopt=self._adopt_completed_run,
-                cache_plan=cache_plan,
-            )
+        # Deliberately job-count-agnostic: the artifact tree of a
+        # parallel execution is byte-identical to a sequential one.
+        log.event(
+            f"measurement phase: {total} runs queued "
+            f"(cross product of loop variables)"
+        )
+        # An inline run's fault events are already in the injector that
+        # fired them; only a worker's or an agent's are merged into it.
+        deliver = _scheduler.build_deliver(
+            runs, completed, exp_dir, journal, handle, log,
+            self.fault_injector if executor is not None else None,
+            on_error, on_run_complete, self._progress,
+            self._adopt_completed_run, cache_plan,
+        )
+        if executor is not None:
+            # Adopted and cached runs are staged here, each delivered as
+            # soon as every run below it is; the executor gets the rest.
+            buffer = ReorderBuffer(total, deliver)
+            pending = []
+            for index in range(total):
+                adopted = index in completed
+                outcome = None if adopted else cache_plan.probe(index)
+                if adopted or outcome is not None:
+                    buffer.put(index, outcome)
+                    buffer.drain()
+                else:
+                    pending.append(index)
+            if pending:
+                executor.execute(
+                    experiment, runs, pending, buffer, on_error, log,
+                )
             return
-        if jobs > 1:
-            ParallelScheduler(jobs, worker_env, self.recovery_policy).execute(
-                experiment, runs, completed, exp_dir, journal, handle, log,
-                injector, on_error, on_run_complete=on_run_complete,
-                progress=self._progress, adopt=self._adopt_completed_run,
-                cache_plan=cache_plan,
-            )
-            return
+        # Inline, only what couples runs stays here: a quarantined
+        # node's runs are skipped, and under ``continue`` the watchdog
+        # probes the hosts after every failed run.
+        health: Dict[str, int] = {}
         isolation = getattr(extra.get("setup"), "begin_run", None)
         for index, loop_instance in enumerate(runs):
-            # -- resume: adopt journalled runs without re-executing ---------
             if index in completed:
-                record = self._adopt_completed_run(
-                    exp_dir, index, loop_instance, completed[index]
-                )
-                handle.runs.append(record)
-                if log is not None:
-                    log.adopt_run(completed[index])
-                    log.event(
-                        f"run {index}: {loop_instance} -> ok (adopted from journal)"
-                    )
-                if self._progress is not None:
-                    self._progress(index + 1, total)
+                deliver(index, None)
                 continue
-            # -- quarantine: degrade gracefully, do not poison the rest -----
             blocked = sorted(
                 {role.node for role in experiment.roles
                  if role.node in handle.quarantined}
             )
             if blocked:
-                record = RunRecord(
+                error = f"node(s) quarantined: {', '.join(blocked)}"
+                handle.runs.append(RunRecord(
                     index=index, loop_instance=dict(loop_instance), ok=False,
-                    skipped=True,
-                    error=f"node(s) quarantined: {', '.join(blocked)}",
+                    skipped=True, error=error,
+                ))
+                journal.record_run(
+                    index, loop_instance, ok=False, skipped=True, error=error,
                 )
-                handle.runs.append(record)
-                if journal is not None:
-                    journal.record_run(
-                        index, loop_instance, ok=False, skipped=True,
-                        error=record.error,
-                    )
-                if log is not None:
-                    log.event(
-                        f"run {index}: {loop_instance} -> SKIPPED ({record.error})"
-                    )
+                log.event(f"run {index}: {loop_instance} -> SKIPPED ({error})")
                 if self._progress is not None:
                     self._progress(index + 1, total)
                 continue
-            # -- execute (or replay the cached outcome) ---------------------
             outcome = cache_plan.probe(index)
             if outcome is None:
                 outcome = _scheduler.execute_run(
                     experiment, allocation.node, store, extra, index,
                     loop_instance, on_error, self.recovery_policy, self.clock,
-                    injector, isolation,
+                    self.fault_injector, isolation,
                 )
-            record, run_dir = _scheduler.persist_outcome(exp_dir, outcome, log)
-            cache_plan.settle(index, outcome)
-            handle.runs.append(record)
-            # The run's evidence goes into its journal record: an adopted
-            # run on resume replays its spans, metrics and health from it.
-            evidence = (
-                log.merge_run(index, outcome.telemetry, health=outcome.health)
-                if log is not None else {}
-            )
-            if journal is not None:
-                journal.record_run(
-                    index, loop_instance, ok=record.ok,
-                    retried=record.retried, error=record.error,
-                    run_dir=os.path.basename(run_dir.path), **evidence,
-                )
-            if log is not None:
-                status = "ok" if record.ok else f"FAILED ({record.error})"
-                log.event(f"run {index}: {loop_instance} -> {status}")
-            if on_run_complete is not None:
-                on_run_complete(record, run_dir.path)
-            if self._progress is not None:
-                self._progress(index + 1, total)
-            if record.ok:
+            deliver(index, outcome)
+            if handle.runs[-1].ok:
                 # A good run means every node is demonstrably healthy:
                 # probe-failure streaks are no longer consecutive.
                 health.clear()
-            else:
-                if on_error == "abort":
-                    raise ScriptError(
-                        f"measurement run {index} failed: {record.error}"
-                    )
-                if on_error == "continue":
-                    self._watchdog(
-                        experiment, allocation, store, exp_dir, extra,
-                        health, handle.quarantined, log,
-                    )
+            elif on_error == "continue":
+                self._watchdog(
+                    experiment, allocation, store, exp_dir, extra,
+                    health, handle.quarantined, log,
+                )
 
     def _cache_plan(
         self,
@@ -639,7 +567,7 @@ class Controller:
     ) -> CachePlan:
         """The run cache's plan for this measurement phase.
 
-        Every executor probes each pending run through it when the run
+        The controller probes each pending run through it when the run
         is reached and settles the run's ``cache.jsonl`` evidence when
         it is delivered (:class:`~repro.core.scheduler.CachePlan`).  A
         hit replays a cached :class:`RunOutcome` through the unchanged

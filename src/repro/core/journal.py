@@ -17,7 +17,8 @@ experiment and adopt the existing run directories untouched (their
 metadata stays byte-identical).
 
 The append-only mechanics live in :class:`JsonlJournal`, shared with
-the campaign journal.  Opening a journal with a torn final line (the
+the campaign and study journals, and so do creating, reopening and
+validating a journal.  Opening a journal with a torn final line (the
 writer died mid-record) *truncates* the file back to the end of the
 last valid record before appending: without that, new records would
 concatenate onto the torn partial line and corrupt the boundary,
@@ -38,7 +39,19 @@ JOURNAL_NAME = "journal.jsonl"
 
 
 class JsonlJournal:
-    """Append-only, fsync'd JSON-lines file with torn-tail recovery."""
+    """Append-only, fsync'd JSON-lines file with torn-tail recovery.
+
+    A subclass names its file (``FILE``), its header event (``HEADER``),
+    the event of one finished record (``RECORD``), the header field that
+    holds the expected record count (``TOTAL``) and what that count is
+    checked against on resume (``CHECKED_AGAINST``).
+    """
+
+    FILE = JOURNAL_NAME
+    HEADER = ""
+    RECORD = ""
+    TOTAL = ""
+    CHECKED_AGAINST = ""
 
     def __init__(self, path: str, entries: Optional[List[dict]] = None):
         self.path = path
@@ -46,6 +59,24 @@ class JsonlJournal:
         self._handle = None
 
     # -- construction --------------------------------------------------------
+
+    @classmethod
+    def create(cls, directory: str, name: str, total: int) -> "JsonlJournal":
+        """Start a fresh journal for a new execution in ``directory``."""
+        journal = cls(os.path.join(directory, cls.FILE))
+        journal._open("w")
+        journal._append({"event": cls.HEADER, "name": name, cls.TOTAL: total})
+        return journal
+
+    @classmethod
+    def open(cls, directory: str) -> "JsonlJournal":
+        """Load the journal in ``directory`` for resumption, keeping it
+        appendable (see :meth:`_load` for a torn final line)."""
+        path = os.path.join(directory, cls.FILE)
+        journal = cls._load(path)
+        if not journal.entries or journal.entries[0].get("event") != cls.HEADER:
+            raise JournalError(f"journal {path} has no {cls.HEADER} header")
+        return journal
 
     @classmethod
     def _load(cls, path: str) -> "JsonlJournal":
@@ -126,37 +157,49 @@ class JsonlJournal:
     def header(self) -> dict:
         return self.entries[0] if self.entries else {}
 
+    def latest(self) -> Dict[int, dict]:
+        """Latest record per index.
+
+        A later record for the same index (a resumed retry of a failed
+        one) supersedes earlier ones.
+        """
+        return {
+            int(entry["index"]): entry
+            for entry in self.entries if entry.get("event") == self.RECORD
+        }
+
+    def completed(self) -> Dict[int, dict]:
+        """Latest record per index that finished successfully, so an
+        index that failed first and succeeded later counts as completed."""
+        return {
+            index: entry
+            for index, entry in self.latest().items()
+            if entry.get("ok", False)
+        }
+
+    def validate_against(self, name: str, total: int) -> None:
+        """Refuse to resume a journal written by a different execution."""
+        header = self.header
+        if header.get("name") != name:
+            raise JournalError(
+                f"journal belongs to {self.HEADER} {header.get('name')!r}, "
+                f"not {name!r}"
+            )
+        if header.get(self.TOTAL) != total:
+            raise JournalError(
+                f"journal expects {header.get(self.TOTAL)} "
+                f"{self.TOTAL[len('total_'):]}, {self.CHECKED_AGAINST} "
+                f"{total} — refusing to resume"
+            )
+
 
 class RunJournal(JsonlJournal):
     """Append-only, fsync'd record of finished measurement runs."""
 
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def create(cls, experiment_path: str, experiment: str, total_runs: int)\
-            -> "RunJournal":
-        """Start a fresh journal for a new experiment execution."""
-        journal = cls(os.path.join(experiment_path, JOURNAL_NAME))
-        journal._open("w")
-        journal._append(
-            {"event": "experiment", "name": experiment, "total_runs": total_runs}
-        )
-        return journal
-
-    @classmethod
-    def open(cls, experiment_path: str) -> "RunJournal":
-        """Load an existing journal for resumption, keeping it appendable.
-
-        A torn final line (the controller died mid-write) is dropped
-        rather than rejected: everything before it was fsynced.
-        """
-        path = os.path.join(experiment_path, JOURNAL_NAME)
-        journal = cls._load(path)
-        if not journal.entries or journal.entries[0].get("event") != "experiment":
-            raise JournalError(f"journal {path} has no experiment header")
-        return journal
-
-    # -- writing -------------------------------------------------------------
+    HEADER = "experiment"
+    RECORD = "run"
+    TOTAL = "total_runs"
+    CHECKED_AGAINST = "the experiment defines"
 
     def record_run(
         self,
@@ -197,38 +240,3 @@ class RunJournal(JsonlJournal):
         if health is not None:
             evidence["health"] = health
         self._append(entry, evidence)
-
-    # -- reading -------------------------------------------------------------
-
-    def run_entries(self) -> List[dict]:
-        return [entry for entry in self.entries if entry.get("event") == "run"]
-
-    def completed(self) -> Dict[int, dict]:
-        """Latest journal entry per run index that finished successfully.
-
-        A later entry for the same index (a resumed retry of a failed
-        run) supersedes earlier ones, so a run that failed first and
-        succeeded later counts as completed.
-        """
-        latest: Dict[int, dict] = {}
-        for entry in self.run_entries():
-            latest[int(entry["index"])] = entry
-        return {
-            index: entry
-            for index, entry in latest.items()
-            if entry.get("ok", False)
-        }
-
-    def validate_against(self, experiment: str, total_runs: int) -> None:
-        """Refuse to resume a journal written by a different experiment."""
-        header = self.header
-        if header.get("name") != experiment:
-            raise JournalError(
-                f"journal belongs to experiment {header.get('name')!r}, "
-                f"not {experiment!r}"
-            )
-        if header.get("total_runs") != total_runs:
-            raise JournalError(
-                f"journal expects {header.get('total_runs')} runs, the "
-                f"experiment defines {total_runs} — refusing to resume"
-            )

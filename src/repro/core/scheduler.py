@@ -28,7 +28,7 @@ which runs preceded it — ``--jobs 4`` and ``--jobs 1`` result trees are
 byte-identical.
 
 The sequential controller shares the primitives below
-(:func:`perform_run`, :func:`persist_outcome`, …), so equality between
+(:func:`execute_run`, :func:`build_deliver`, …), so equality between
 job counts holds by construction rather than by testing luck.
 """
 
@@ -756,8 +756,8 @@ class ReorderBuffer:
 
 @dataclass
 class _Probe:
-    """One run's memoised cache probe: its key, the cached outcome (None
-    on a miss) and the ``cache.jsonl`` records the probe produced."""
+    """One run's cache probe: its key, the cached outcome (None on a
+    miss) and the ``cache.jsonl`` records the probe produced."""
 
     key: str
     outcome: Optional[RunOutcome]
@@ -768,9 +768,8 @@ class CachePlan:
     """The run cache's side of one measurement phase, shared by every
     executor: each run is probed when it is reached, not all up front.
 
-    :meth:`probe` fingerprints and looks up one run the first time it
-    is asked and memoises the key, the cached outcome and the probe's
-    evidence, so asking again (a retried pool pass) costs nothing.
+    :meth:`probe` fingerprints and looks up one run and holds the key,
+    the cached outcome and the probe's evidence until the run settles.
     :meth:`settle` runs when that run is delivered, in index order: it
     writes the probe's evidence — any ``cache.corrupt`` raised inside
     the lookup, then ``cache.hit`` or ``cache.miss`` — stores a freshly
@@ -809,17 +808,15 @@ class CachePlan:
         """The cached outcome of run ``index``, or None to execute it."""
         if self.cache is None:
             return None
-        probe = self._probes.get(index)
-        if probe is None:
-            key = self.cache.key(self._described, index, self._runs[index])
-            captured = self._captured = []
-            outcome = self.cache.lookup(key)
-            captured.append((
-                "cache.hit" if outcome is not None else "cache.miss",
-                {"run": index, "key": key},
-            ))
-            probe = self._probes[index] = _Probe(key, outcome, captured)
-        return probe.outcome
+        key = self.cache.key(self._described, index, self._runs[index])
+        captured = self._captured = []
+        outcome = self.cache.lookup(key)
+        captured.append((
+            "cache.hit" if outcome is not None else "cache.miss",
+            {"run": index, "key": key},
+        ))
+        self._probes[index] = _Probe(key, outcome, captured)
+        return outcome
 
     def settle(self, index: int, outcome: RunOutcome) -> None:
         """Write run ``index``'s evidence and store it if it was executed."""
@@ -851,12 +848,16 @@ def build_deliver(
 ) -> Callable[[int, Optional[RunOutcome]], None]:
     """The canonical per-run persistence step, as a reorder-buffer sink.
 
-    Shared by the process-pool scheduler and the distributed
-    controller (:mod:`repro.dist`): however outcomes were produced,
-    every run is persisted, journalled, logged and reported through
-    this one code path, in strict index order — which is what makes
-    the result tree byte-identical across executors.  A ``None``
-    payload marks a journal adoption on resume.
+    The one delivery path of every executor: the controller's inline
+    loop calls it directly, and the process pool and the distributed
+    controller (:mod:`repro.dist`) drain their outcomes into it through
+    the controller's :class:`ReorderBuffer`.  However outcomes were
+    produced, every run is persisted, journalled, logged and reported
+    here, in strict index order — which is what makes the result tree
+    byte-identical across executors.  A ``None`` payload marks a
+    journal adoption on resume.  ``injector`` collects the fault events
+    of runs executed in another process; an inline run's events are
+    already in the injector that fired them.
 
     Each delivered run is settled with the ``cache_plan``
     (:meth:`CachePlan.settle`) right after it is persisted: its probe
@@ -917,13 +918,13 @@ def build_deliver(
 
 
 class ParallelScheduler:
-    """Fan a measurement phase out over a process pool and merge back.
+    """Fan a measurement phase's pending runs out over a process pool.
 
-    Runs are per-run tasks on warm per-worker worlds.  The merge is a
-    reorder buffer: outcomes arrive run by run in completion order, but
-    run *k* is persisted, journalled, logged and reported strictly
-    after every run below *k* — the artifacts of a parallel execution
-    are byte-identical to a sequential one, and a crash leaves the same
+    Runs are per-run tasks on warm per-worker worlds.  Each outcome is
+    put into the controller's reorder buffer as it arrives, so run *k*
+    is persisted, journalled, logged and reported strictly after every
+    run below *k* — the artifacts of a parallel execution are
+    byte-identical to a sequential one, and a crash leaves the same
     resumable journal prefix.  A delivery that raises (``abort``)
     cancels every run still queued.
 
@@ -949,63 +950,32 @@ class ParallelScheduler:
         self,
         experiment: Experiment,
         runs: List[Dict[str, Any]],
-        completed: Dict[int, dict],
-        exp_dir: ExperimentDir,
-        journal,
-        handle,
-        log,
-        injector,
+        pending: List[int],
+        buffer: ReorderBuffer,
         on_error: str,
-        on_run_complete: Optional[Callable] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
-        adopt: Optional[Callable] = None,
-        cache_plan: Optional[CachePlan] = None,
+        log=None,
     ) -> None:
-        total = len(runs)
-        plan = cache_plan or CachePlan()
-        pending = [index for index in range(total) if index not in completed]
-        deliver = build_deliver(
-            runs, completed, exp_dir, journal, handle, log, injector,
-            on_error, on_run_complete, progress, adopt, cache_plan=plan,
-        )
-        buffer = ReorderBuffer(total, deliver)
-        for index in completed:
-            buffer.put(index, None)
-        if not pending:
-            buffer.drain()
-            return
+        """Execute the ``pending`` runs and drain each into ``buffer``.
 
+        ``log`` is part of the executor contract shared with the
+        distributed controller; the pool leaves no evidence of its own.
+        """
         def run_pass() -> None:
             remaining = [index for index in pending if not buffer.seen(index)]
-            pool: Optional[ProcessPoolExecutor] = None
-            futures = []
+            pool = ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(remaining)),
+                initializer=_init_worker,
+                initargs=(self.worker_env, experiment, on_error,
+                          self.recovery_policy),
+            )
             try:
                 # Ascending submission: workers take tasks off one FIFO
                 # queue, so each executes increasing indices, which the
                 # run-isolation hook's forward-only epochs require.
-                # Each run is probed as it is reached: a cache hit never
-                # reaches a worker, it is delivered at once through the
-                # same pipeline as executed runs; the pool is forked at
-                # the first miss, if there is one.
-                for position, index in enumerate(remaining):
-                    outcome = plan.probe(index)
-                    if outcome is not None:
-                        buffer.put(index, outcome)
-                        buffer.drain()
-                        continue
-                    if pool is None:
-                        pool = ProcessPoolExecutor(
-                            max_workers=min(
-                                self.jobs, len(remaining) - position
-                            ),
-                            initializer=_init_worker,
-                            initargs=(self.worker_env, experiment, on_error,
-                                      self.recovery_policy),
-                        )
-                    futures.append(
-                        pool.submit(_run_task, index, runs[index])
-                    )
-                buffer.drain()
+                futures = [
+                    pool.submit(_run_task, index, runs[index])
+                    for index in remaining
+                ]
                 for future in as_completed(futures):
                     outcome = future.result()
                     buffer.put(outcome.index, outcome)
@@ -1017,8 +987,7 @@ class ParallelScheduler:
                     f"{len(lost)} run(s) unmerged: {exc}"
                 ) from exc
             finally:
-                if pool is not None:
-                    pool.shutdown(wait=True, cancel_futures=True)
+                pool.shutdown(wait=True, cancel_futures=True)
 
         try:
             self.recovery_policy.call(

@@ -1,10 +1,12 @@
 """The distributed run controller: leases, re-dispatch, dedupe.
 
-:class:`DistScheduler` is a drop-in peer of
-:class:`~repro.core.scheduler.ParallelScheduler` — same ``execute``
-signature, called from the same place in the experiment controller —
-but instead of a process pool it drives a fleet of node agents over a
-message :class:`~repro.dist.transport.Bus`:
+:class:`DistScheduler` is one of the experiment controller's executors,
+a peer of :class:`~repro.core.scheduler.ParallelScheduler` with the same
+``execute`` contract: the controller stages adopted and cached runs,
+hands over the pending ones, and every outcome goes through the
+controller's one delivery path.  Instead of a process pool it drives a
+fleet of node agents over a message
+:class:`~repro.dist.transport.Bus`:
 
 * the pending run indices are sharded round-robin and dispatched to
   agents as they register;
@@ -22,9 +24,9 @@ message :class:`~repro.dist.transport.Bus`:
   their work migrates to the survivors; if every agent is quarantined
   while work remains, the experiment fails loudly.
 
-Determinism contract: outcomes are merged through the same
-:class:`~repro.core.scheduler.ReorderBuffer` +
-:func:`~repro.core.scheduler.build_deliver` pipeline as every other
+Determinism contract: outcomes are put into the controller's
+:class:`~repro.core.scheduler.ReorderBuffer`, whose sink is
+:func:`~repro.core.scheduler.build_deliver` as for every other
 executor, in strict run-index order, and each run is a pure function of
 its index — so the merged artifact tree is byte-identical for any agent
 count, any placement, and any crash/re-dispatch schedule, including a
@@ -39,16 +41,10 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.errors import ExperimentError
-from repro.core.scheduler import (
-    CachePlan,
-    ReorderBuffer,
-    WorkerEnv,
-    build_deliver,
-    shard_runs,
-)
+from repro.core.scheduler import ReorderBuffer, WorkerEnv, shard_runs
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.dist.agent import AgentConfig, LoopbackAgent
@@ -255,54 +251,24 @@ class DistScheduler:
         self,
         experiment,
         runs: List[Dict[str, Any]],
-        completed: Dict[int, dict],
-        exp_dir,
-        journal,
-        handle,
-        log,
-        injector,
+        pending: List[int],
+        buffer: ReorderBuffer,
         on_error: str,
-        on_run_complete: Optional[Callable] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
-        adopt: Optional[Callable] = None,
-        cache_plan: Optional[CachePlan] = None,
+        log=None,
     ) -> None:
+        """Execute the ``pending`` runs on the fleet and drain each
+        result into ``buffer``; the pump's evidence goes to ``log``."""
         total = len(runs)
-        plan = cache_plan or CachePlan()
-        deliver = build_deliver(
-            runs, completed, exp_dir, journal, handle, log, injector,
-            on_error, on_run_complete, progress, adopt, cache_plan=plan,
-        )
-        buffer = ReorderBuffer(total, deliver)
-        for index in completed:
-            buffer.put(index, None)
-        # Runs are sharded up front, so every pending run is probed
-        # before the first dispatch.  Cache hits never reach an agent:
-        # they are staged here and delivered through the same pipeline
-        # as agent results, in index order.
-        pending = []
-        for index in range(total):
-            if index in completed:
-                continue
-            outcome = plan.probe(index)
-            if outcome is None:
-                pending.append(index)
-            else:
-                buffer.put(index, outcome)
-        if not pending:
-            buffer.drain()
-            return
-
         # The causal trace context stamped on every controller envelope
         # (and echoed back by the agents): the id of the fleet DAG that
         # pos trace derives from trace.jsonl.
         trace_id = fleet_trace_id(experiment.name, total)
 
-        # Journal-backed dedupe: everything the (possibly crashed,
-        # resumed) journal already promised — and every cache hit staged
-        # above — is delivered once and never re-persisted, no matter
-        # how often an agent re-produces it.
-        delivered: Set[int] = set(range(total)) - set(pending)
+        # Journal-backed dedupe: everything the buffer has seen — what
+        # the (possibly crashed, resumed) journal already promised, every
+        # cache hit the controller staged, every result received — is
+        # delivered once and never re-persisted, no matter how often an
+        # agent re-produces it.
         agent_count = min(self.agents, len(pending))
         states = {
             f"agent-{position:02d}": AgentState(f"agent-{position:02d}")
@@ -378,10 +344,10 @@ class DistScheduler:
             assignment means either its result was dropped on the wire
             (``index in executed``) or the dispatch itself never
             arrived; both are cured by sending the work again, and the
-            delivered-set dedupe absorbs any double execution."""
+            reorder buffer's dedupe absorbs any double execution."""
             executed_set = set(executed)
             lost = sorted(
-                index for index in state.assigned if index not in delivered
+                index for index in state.assigned if not buffer.seen(index)
             )
             if not lost:
                 return
@@ -407,7 +373,7 @@ class DistScheduler:
             state.registered = False
             state.lease_expires = None
             orphaned = sorted(
-                index for index in state.assigned if index not in delivered
+                index for index in state.assigned if not buffer.seen(index)
             )
             state.assigned = set()
             orphans.extend(orphaned)
@@ -476,12 +442,11 @@ class DistScheduler:
                     renew(state)
                 for other in states.values():
                     other.assigned.discard(index)
-                if index in delivered:
+                if buffer.seen(index):
                     evidence(
                         "duplicate-dropped", agent=state.agent_id, run=index,
                     )
                     return
-                delivered.add(index)
                 last_progress = bus.now()
                 evidence(
                     "result", agent=state.agent_id,
@@ -509,7 +474,7 @@ class DistScheduler:
             if not candidates:
                 if all(state.quarantined for state in states.values()):
                     outstanding = sum(
-                        1 for index in pending if index not in delivered
+                        1 for index in pending if not buffer.seen(index)
                     )
                     raise ExperimentError(
                         f"every agent is quarantined with {outstanding} "
@@ -524,7 +489,7 @@ class DistScheduler:
                 give(target, shards.popleft(), reason="late-shard")
             if orphans:
                 batch = sorted(
-                    {index for index in orphans if index not in delivered}
+                    {index for index in orphans if not buffer.seen(index)}
                 )
                 orphans.clear()
                 if batch:
@@ -563,7 +528,7 @@ class DistScheduler:
                 bus.step()
                 if bus.now() - last_progress > self.stall_timeout:
                     outstanding = sorted(
-                        index for index in pending if index not in delivered
+                        index for index in pending if not buffer.seen(index)
                     )
                     raise ExperimentError(
                         f"distributed execution stalled: no progress for "
@@ -572,7 +537,7 @@ class DistScheduler:
                     )
             evidence(
                 "complete",
-                delivered=len(delivered),
+                delivered=total,
                 redispatched=sum(redispatches.values()),
             )
         finally:

@@ -35,6 +35,7 @@ from repro.study.design import replication_campaign, replication_dir
 from repro.study.evaluate import STUDY_JSON_NAME, evaluate_study
 from repro.study.journal import STUDY_JOURNAL_NAME
 from repro.study.spec import STUDY_SPEC_NAME, load_study_file
+from repro.telemetry.jsonl import read_jsonl
 
 __all__ = ["audit_study", "render_audit"]
 
@@ -54,23 +55,6 @@ _KIND_RANK = {
     "missing-aggregate": 11,
     "stale-aggregate": 12,
 }
-
-
-def _read_jsonl_tolerant(path: str) -> List[dict]:
-    """Parse a journal's complete records; a torn tail is dropped."""
-    entries: List[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                entry = json.loads(stripped)
-            except ValueError:
-                break
-            if isinstance(entry, dict):
-                entries.append(entry)
-    return entries
 
 
 def _hole(kind: str, **details: Any) -> Dict[str, Any]:
@@ -193,7 +177,7 @@ def audit_study(study_dir: str) -> dict:
                 "missing-campaign-journal", replication=replication,
             ))
             continue
-        entries = _read_jsonl_tolerant(journal_path)
+        entries = read_jsonl(journal_path)
         recorded = {
             int(entry["index"]): entry
             for entry in entries
@@ -230,7 +214,7 @@ def audit_study(study_dir: str) -> dict:
     if not os.path.isfile(journal_path):
         holes.append(_hole("missing-study-journal"))
     else:
-        entries = _read_jsonl_tolerant(journal_path)
+        entries = read_jsonl(journal_path)
         header = entries[0] if entries else {}
         if (
             header.get("event") != "study"

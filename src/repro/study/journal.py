@@ -14,10 +14,8 @@ tree from confusing the layers.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.core.errors import JournalError
 from repro.core.journal import JsonlJournal
 
 __all__ = ["STUDY_JOURNAL_NAME", "StudyJournal"]
@@ -28,26 +26,11 @@ STUDY_JOURNAL_NAME = "study.jsonl"
 class StudyJournal(JsonlJournal):
     """Append-only, fsync'd record of finished study replications."""
 
-    @classmethod
-    def create(cls, study_dir: str, study: str, total: int) -> "StudyJournal":
-        """Start a fresh journal for a new study execution."""
-        journal = cls(os.path.join(study_dir, STUDY_JOURNAL_NAME))
-        journal._open("w")
-        journal._append(
-            {"event": "study", "name": study, "total_replications": total}
-        )
-        return journal
-
-    @classmethod
-    def open(cls, study_dir: str) -> "StudyJournal":
-        """Load an existing study journal, keeping it appendable."""
-        path = os.path.join(study_dir, STUDY_JOURNAL_NAME)
-        journal = cls._load(path)
-        if not journal.entries or journal.entries[0].get("event") != "study":
-            raise JournalError(f"journal {path} has no study header")
-        return journal
-
-    # -- writing -------------------------------------------------------------
+    FILE = STUDY_JOURNAL_NAME
+    HEADER = "study"
+    RECORD = "replication"
+    TOTAL = "total_replications"
+    CHECKED_AGAINST = "the spec defines"
 
     def record_replication(
         self,
@@ -73,36 +56,3 @@ class StudyJournal(JsonlJournal):
         if error is not None:
             entry["error"] = error
         self._append(entry)
-
-    # -- reading -------------------------------------------------------------
-
-    def replication_entries(self) -> List[dict]:
-        return [
-            entry for entry in self.entries
-            if entry.get("event") == "replication"
-        ]
-
-    def completed(self) -> Dict[int, dict]:
-        """Latest journal entry per replication index that finished ok."""
-        latest: Dict[int, dict] = {}
-        for entry in self.replication_entries():
-            latest[int(entry["index"])] = entry
-        return {
-            index: entry
-            for index, entry in latest.items()
-            if entry.get("ok", False)
-        }
-
-    def validate_against(self, study: str, total: int) -> None:
-        """Refuse to resume a journal written by a different study."""
-        header = self.header
-        if header.get("name") != study:
-            raise JournalError(
-                f"journal belongs to study {header.get('name')!r}, "
-                f"not {study!r}"
-            )
-        if header.get("total_replications") != total:
-            raise JournalError(
-                f"journal expects {header.get('total_replications')} "
-                f"replications, the spec defines {total} — refusing to resume"
-            )

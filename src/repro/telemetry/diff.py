@@ -38,7 +38,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import PosError
 from repro.evaluation.tendencies import paired_effect
-from repro.telemetry.jsonl import fold_journal, read_jsonl_or_none
+from repro.telemetry.jsonl import (
+    fold_journal, read_json_or_none, read_jsonl_or_none,
+)
 from repro.telemetry.plane import CACHE_NAME, TRACE_NAME
 from repro.telemetry.report import cache_summary
 
@@ -58,13 +60,6 @@ _POS_LOG_LINE = re.compile(
 
 class DiffError(PosError):
     """A side does not carry the artifacts a comparison needs."""
-
-
-def _read_json(path: str) -> Optional[dict]:
-    if not os.path.isfile(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def _assignment_key(loop: Dict[str, Any]) -> str:
@@ -141,7 +136,7 @@ def load_side(path: str) -> Dict[str, Any]:
             skipped += 1
         elif not entry.get("ok", False):
             failed += 1
-    telemetry = _read_json(os.path.join(path, "telemetry.json")) or {}
+    telemetry = read_json_or_none(os.path.join(path, "telemetry.json")) or {}
     counters = telemetry.get("metrics", {}).get("counters", {})
     faults = sum(
         value for name, value in counters.items()
@@ -176,7 +171,7 @@ def load_side(path: str) -> Dict[str, Any]:
             "failed_runs": failed,
             "skipped_runs": skipped,
         },
-        "health": _health_summary(_read_json(os.path.join(path, "health.json"))),
+        "health": _health_summary(read_json_or_none(os.path.join(path, "health.json"))),
         "cache": cache_summary(
             read_jsonl_or_none(os.path.join(path, CACHE_NAME))
         ),

@@ -23,11 +23,13 @@ counts carry no wall-clock values.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.errors import PosError
 from repro.evaluation.tendencies import median, robust_z
-from repro.telemetry.jsonl import fold_journal, read_jsonl_or_none
+from repro.telemetry.jsonl import (
+    fold_journal, read_json_or_none, read_jsonl_or_none,
+)
 from repro.telemetry.plane import CACHE_NAME, DISPATCH_NAME
 from repro.telemetry.report import cache_summary
 
@@ -52,15 +54,6 @@ _SEVERITY_RANK = {"critical": 0, "warning": 1, "info": 2}
 
 class DoctorError(PosError):
     """The folder does not look like an experiment result tree."""
-
-
-def _read_json(path: str) -> Optional[dict]:
-    import json
-
-    if not os.path.isfile(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def _finding(
@@ -136,7 +129,7 @@ def diagnose(path: str) -> Dict[str, Any]:
         ))
 
     # -- telemetry: fault injections, anomalous runs ---------------------
-    telemetry = _read_json(os.path.join(path, "telemetry.json")) or {}
+    telemetry = read_json_or_none(os.path.join(path, "telemetry.json")) or {}
     counters = telemetry.get("metrics", {}).get("counters", {})
     faults = {
         name.rpartition(".")[2]: value
@@ -191,7 +184,7 @@ def diagnose(path: str) -> Dict[str, Any]:
         ))
 
     # -- health ledger ---------------------------------------------------
-    health = _read_json(os.path.join(path, "health.json"))
+    health = read_json_or_none(os.path.join(path, "health.json"))
     if health:
         for name, node in sorted(health.get("nodes", {}).items()):
             state = node.get("state")

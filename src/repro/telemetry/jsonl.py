@@ -21,7 +21,10 @@ import json
 import os
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["iter_jsonl", "read_jsonl", "read_jsonl_or_none", "fold_journal"]
+__all__ = [
+    "iter_jsonl", "read_jsonl", "read_jsonl_or_none", "read_json_or_none",
+    "fold_journal",
+]
 
 
 def iter_jsonl(path: str) -> Iterator[dict]:
@@ -57,6 +60,15 @@ def read_jsonl_or_none(path: str) -> Optional[List[dict]]:
     if not os.path.isfile(path):
         return None
     return read_jsonl(path)
+
+
+def read_json_or_none(path: str) -> Optional[dict]:
+    """A JSON artifact (``telemetry.json``, ``health.json``), or ``None``
+    when the file is absent."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def fold_journal(

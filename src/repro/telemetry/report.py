@@ -15,25 +15,19 @@ the cache) without ever having run the experiment.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import PosError
-from repro.telemetry.jsonl import fold_journal, read_jsonl_or_none
+from repro.telemetry.jsonl import (
+    fold_journal, read_json_or_none, read_jsonl_or_none,
+)
 
 __all__ = ["cache_summary", "load_report", "render_report"]
 
 
 class ReportError(PosError):
     """The folder does not carry the artifacts a report needs."""
-
-
-def _read_json(path: str) -> Optional[dict]:
-    if not os.path.isfile(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def _read_journal(experiment_path: str):
@@ -159,7 +153,7 @@ def load_report(experiment_path: str) -> Dict[str, Any]:
         "total_runs": header.get("total_runs"),
         "complete": any(entry.get("event") == "complete" for entry in entries),
         "runs": rows,
-        "telemetry": _read_json(
+        "telemetry": read_json_or_none(
             os.path.join(experiment_path, "telemetry.json")
         ),
         "cache": cache_summary(_read_cache_events(experiment_path)),

@@ -3,12 +3,28 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
 
 from repro.core.calendar import Calendar
 from repro.core.envcache import refresh_all
 from repro.testbed.scenarios import build_pos_pair, build_vpos_pair
+
+
+def tree(root, exclude=()):
+    """Relative path -> file bytes for every file under ``root`` whose
+    name is not in ``exclude``."""
+    contents = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if name in exclude:
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as handle:
+                contents[os.path.relpath(path, root)] = handle.read()
+    return contents
 
 
 @pytest.fixture(autouse=True)

@@ -31,6 +31,7 @@ from repro.campaign.workload import (
 from repro.cli.main import build_parser, main
 from repro.core.errors import CampaignError, JournalError
 from repro.core.journal import JOURNAL_NAME
+from tests.conftest import tree
 
 
 def make_spec(experiments, pool=("alpha", "beta", "gamma"), **kwargs):
@@ -472,16 +473,7 @@ class TestResumePartialTree:
         target = str(tmp_path / "out")
         run_campaign(path, target, jobs=1)
 
-        def snapshot(root):
-            files = {}
-            for dirpath, __, filenames in os.walk(root):
-                for filename in filenames:
-                    full = os.path.join(dirpath, filename)
-                    with open(full, "rb") as handle:
-                        files[os.path.relpath(full, root)] = handle.read()
-            return files
-
-        baseline = snapshot(target)
+        baseline = tree(target)
 
         # Doctor sweep-b (execution index 1) back to "mid-run": drop its
         # run directory and journal records, and cut the campaign
@@ -506,7 +498,7 @@ class TestResumePartialTree:
 
         result = run_campaign(path, target, jobs=1, resume=True)
         assert result.ok
-        resumed = snapshot(target)
+        resumed = tree(target)
         assert sorted(resumed) == sorted(baseline)
         different = [name for name in baseline
                      if resumed[name] != baseline[name]]

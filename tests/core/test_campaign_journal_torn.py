@@ -26,6 +26,7 @@ import shutil
 from repro.campaign import campaign_status, run_campaign
 from repro.campaign.admission import ADMISSION_NAME
 from repro.core.journal import JOURNAL_NAME, RunJournal
+from tests.conftest import tree as tree_snapshot
 
 CAMPAIGN = """\
 name: torn
@@ -42,16 +43,6 @@ experiments:
     duration: 20
     rates: [200]
 """
-
-
-def tree_snapshot(root):
-    snapshot = {}
-    for dirpath, __, filenames in os.walk(root):
-        for filename in filenames:
-            path = os.path.join(dirpath, filename)
-            with open(path, "rb") as handle:
-                snapshot[os.path.relpath(path, root)] = handle.read()
-    return snapshot
 
 
 def run_directories(campaign_dir):

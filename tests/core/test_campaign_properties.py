@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import CampaignSpec, ExperimentSpec, plan_admission, run_campaign
+from tests.conftest import tree as tree_snapshot
 
 POOL = ["alpha", "beta", "gamma"]
 USERS = ["alice", "bob"]
@@ -109,17 +110,6 @@ def test_admission_plan_is_reproducible(spec):
 # --------------------------------------------------------------------------
 # whole-tree byte identity (expensive — few seeded examples)
 # --------------------------------------------------------------------------
-
-
-def tree_snapshot(root):
-    """Map of relative path -> file bytes for a whole directory tree."""
-    snapshot = {}
-    for dirpath, __, filenames in os.walk(root):
-        for filename in filenames:
-            path = os.path.join(dirpath, filename)
-            with open(path, "rb") as handle:
-                snapshot[os.path.relpath(path, root)] = handle.read()
-    return snapshot
 
 
 def assert_identical_trees(left, right):

@@ -22,6 +22,7 @@ from repro.core.scheduler import (
     validate_parallel_fault_plan,
 )
 from repro.faults.plan import FaultPlan, FaultSpec
+from tests.conftest import tree
 
 CLOCK = lambda: 1_600_000_000.0  # noqa: E731 - fixed wall clock => fixed tree paths
 
@@ -38,18 +39,6 @@ def crashing_progress(after):
             raise CrashRequested(f"killed after {after} runs")
 
     return callback
-
-
-def tree(root):
-    """Relative path -> file bytes for every file under ``root``."""
-    contents = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for name in sorted(filenames):
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as handle:
-                contents[os.path.relpath(path, root)] = handle.read()
-    return contents
 
 
 def run_dir_files(contents):

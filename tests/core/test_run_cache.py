@@ -12,6 +12,7 @@ must not know the cache exists).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -27,6 +28,7 @@ from repro.core.scheduler import AttemptResult, RunOutcome
 from repro.telemetry.criticalpath import analyze
 from repro.telemetry.diff import load_side
 from repro.telemetry.report import load_report
+from tests.conftest import tree as tree_of
 
 CLOCK = lambda: 1_600_000_000.0  # noqa: E731 - fixed clock => fixed tree paths
 
@@ -39,18 +41,8 @@ SWEEP = dict(
 )
 
 
-def tree(root, exclude=("cache.jsonl", "dispatch.jsonl")):
-    """Relative path -> file bytes for every file under ``root``."""
-    contents = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if name in exclude:
-                continue
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as handle:
-                contents[os.path.relpath(path, root)] = handle.read()
-    return contents
+#: A warm tree equals a cold one but for the evidence sidecars.
+tree = functools.partial(tree_of, exclude=("cache.jsonl", "dispatch.jsonl"))
 
 
 def find_result_dir(root):

@@ -25,6 +25,7 @@ from repro.study import (
     replication_campaign,
     run_study,
 )
+from tests.conftest import tree as tree_snapshot
 
 FACTOR_NAMES = ["rate", "size", "burst"]
 LEVEL_POOL = [1, 2, 64, 128, 1.5, "a", "b"]
@@ -107,16 +108,6 @@ def test_different_root_seeds_change_the_responses(spec, other_seed):
         assert one.describe() == two.describe()
     # (With noise > 0 the responses *may* still round to equal values;
     # no assertion the other way.)
-
-
-def tree_snapshot(root):
-    snapshot = {}
-    for dirpath, __, filenames in os.walk(root):
-        for filename in filenames:
-            path = os.path.join(dirpath, filename)
-            with open(path, "rb") as handle:
-                snapshot[os.path.relpath(path, root)] = handle.read()
-    return snapshot
 
 
 @given(study_specs(max_factors=2, max_levels=2, max_replications=2))
