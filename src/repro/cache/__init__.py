@@ -33,17 +33,16 @@ events spent.  Only boring outcomes are stored: single-attempt, ``ok``,
 no fault events; anything involving recovery, failure or injected
 faults always re-executes.
 
-Each run is probed when its executor reaches it — serially just
-before it would execute, under ``--jobs`` while runs are submitted to
-the pool; only ``--agents``, which shards pending runs up front, probes
-them all before the first dispatch — through one
-:class:`~repro.core.scheduler.CachePlan` per measurement phase.  So
-the first result of a warm sweep costs one key and one lookup, and
-only the outcome being delivered is held in memory.
+The controller probes runs through one
+:class:`~repro.core.scheduler.CachePlan` per measurement phase: serially
+each run just before it would execute; under ``--jobs`` and
+``--agents`` every pending run before the pool or the fleet starts,
+each hit delivered as soon as every run below it is, so that only the
+misses are handed to the executor.  Either way the first result of a
+warm sweep costs one key and one lookup.
 
-The cache is off unless a directory is configured (``--cache DIR`` or
-``POS_RUN_CACHE_DIR``), and ``POS_RUN_CACHE=0`` is the kill switch that
-wins over both.  Evidence of hits and misses goes to the
+The cache is off unless a directory is configured (``--cache DIR`` or a
+non-empty ``POS_RUN_CACHE_DIR``).  Evidence of hits and misses goes to the
 ``cache.jsonl`` sidecar (the ``dispatch.jsonl`` precedent), which is
 deliberately outside the byte-identity contract.  Each run's records
 are written when the run is delivered, in index order — any
@@ -73,24 +72,18 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.core.envcache import EnvSwitch
-
 __all__ = [
     "CODE_EPOCH",
     "CacheEntry",
     "RunCache",
-    "cache_enabled",
     "resolve_cache_dir",
 ]
 
 #: Bumped whenever simulation or workflow semantics change in a way
 #: that affects run artifacts.  Part of every cache key: entries from
 #: older code are unreachable (and ``pos cache gc`` removes them).
-CODE_EPOCH = 1
-
-#: Kill switch: ``POS_RUN_CACHE=0`` disables the cache even when a
-#: directory is configured.  Resolved once per world.
-cache_enabled = EnvSwitch("POS_RUN_CACHE")
+#: Epoch 2: stored outcomes' spans no longer carry a wall-clock field.
+CODE_EPOCH = 2
 
 MANIFEST_NAME = "manifest.json"
 OUTCOME_NAME = "outcome.pkl"
@@ -99,12 +92,9 @@ OUTCOME_NAME = "outcome.pkl"
 def resolve_cache_dir(explicit: Optional[str] = None) -> Optional[str]:
     """The configured cache directory, or None when caching is off.
 
-    Precedence: kill switch (``POS_RUN_CACHE=0``) > explicit ``--cache``
-    directory > ``POS_RUN_CACHE_DIR``.  Read once per world, alongside
-    the other kill switches.
+    An explicit ``--cache`` directory wins over ``POS_RUN_CACHE_DIR``;
+    an empty variable configures nothing.
     """
-    if not cache_enabled():
-        return None
     return explicit or os.environ.get("POS_RUN_CACHE_DIR") or None
 
 

@@ -307,7 +307,7 @@ def build_environment(
     variable, else off) attaches a content-addressed run cache
     (:mod:`repro.cache`): a repeated (scenario, assignment, seed) point
     is served from the cache with zero simulator events and a
-    byte-identical artifact tree.  ``POS_RUN_CACHE=0`` kills it.
+    byte-identical artifact tree.
     """
     # Kill switches are resolved once per world, here: hot paths read
     # the cached resolution instead of hitting os.environ per run.

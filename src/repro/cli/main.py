@@ -117,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "the POS_RUN_CACHE_DIR environment variable, else "
                           "off); repeated (scenario, assignment, seed) "
                           "points are served from it with zero simulator "
-                          "events and byte-identical artifacts; "
-                          "POS_RUN_CACHE=0 disables it")
+                          "events and byte-identical artifacts")
 
     export = sub.add_parser(
         "export", help="write the case study as a publishable artifact folder"

@@ -563,7 +563,7 @@ class Controller:
         self,
         experiment: Experiment,
         runs: List[Dict[str, Any]],
-        log: Optional[ExperimentTelemetry],
+        log: ExperimentTelemetry,
     ) -> CachePlan:
         """The run cache's plan for this measurement phase.
 
@@ -579,10 +579,7 @@ class Controller:
         spares must not be served stale from a plan-free execution.
         """
         cache = self.run_cache if self.fault_injector is None else None
-        return CachePlan(
-            cache, experiment, runs,
-            evidence=log.cache_event if log is not None else None,
-        )
+        return CachePlan(cache, experiment, runs, log.cache_event)
 
     @staticmethod
     def _adopt_completed_run(
@@ -628,7 +625,7 @@ class Controller:
         extra: dict,
         health: Dict[str, int],
         quarantined: Dict[str, str],
-        log: Optional[ExperimentTelemetry],
+        log: ExperimentTelemetry,
     ) -> None:
         """Probe the hosts after a failed run and recover wedged ones.
 
@@ -653,25 +650,20 @@ class Controller:
                 quarantined[name] = (
                     f"failed {health[name]} consecutive health probes"
                 )
-                if log is not None:
-                    log.event(
-                        f"watchdog: QUARANTINED {name} ({quarantined[name]})"
-                    )
+                log.event(f"watchdog: QUARANTINED {name} ({quarantined[name]})")
         still_wedged = [name for name in wedged if name not in quarantined]
         if not still_wedged:
             return
-        if log is not None:
-            log.event(
-                f"watchdog: wedged node(s) {', '.join(still_wedged)} — "
-                f"power-cycling back into the live-image state"
-            )
+        log.event(
+            f"watchdog: wedged node(s) {', '.join(still_wedged)} — "
+            f"power-cycling back into the live-image state"
+        )
         try:
             self._recover(experiment, allocation, store, exp_dir, extra)
         except (NodeError, ScriptError, TransportError) as exc:
             for name in still_wedged:
                 quarantined[name] = f"recovery failed: {exc}"
-                if log is not None:
-                    log.event(f"watchdog: QUARANTINED {name} (recovery failed)")
+                log.event(f"watchdog: QUARANTINED {name} (recovery failed)")
 
     def _run_script(
         self,

@@ -1,11 +1,12 @@
 """Once-per-world resolution of environment kill switches.
 
-Several planes expose an environment kill switch (``POS_NETSIM_BATCH``,
-``POS_TELEMETRY``, ``POS_HEALTH``, ``POS_RUN_CACHE``, ...).  Their
-original implementations consulted ``os.environ`` on every call, which
-puts a dictionary lookup and a string compare on per-run hot paths —
-once per measurement job in the fast path, once per run in the
-telemetry and health planes.  An :class:`EnvSwitch` resolves the
+Three planes expose an environment kill switch: ``POS_NETSIM_BATCH``
+(the batched fast path), ``POS_TELEMETRY`` (every deterministic
+observation artifact) and ``POS_DISPATCH_LOG`` (the evidence
+sidecars).  Their original implementations consulted ``os.environ``
+on every call, which puts a dictionary lookup and a string compare on
+per-run hot paths — once per measurement job in the fast path, once
+per run in the telemetry plane.  An :class:`EnvSwitch` resolves the
 variable once and caches the boolean; the call syntax is unchanged
 (instances are callable), so ``enabled()`` reads exactly as before.
 
@@ -34,31 +35,19 @@ _UNSET = object()
 
 
 class EnvSwitch:
-    """A cached boolean environment switch.
-
-    ``mode="nonzero"`` (the default) is on unless the variable equals
-    ``"0"`` — the shape of every kill switch.  ``mode="one"`` is on
-    only when the variable equals ``"1"`` — the shape of opt-in flags
-    like ``POS_TELEMETRY_WALLCLOCK``.
-    """
+    """A cached kill switch: on unless the variable equals ``"0"``."""
 
     _registry: List["EnvSwitch"] = []
 
-    def __init__(self, var: str, default: str = "1", mode: str = "nonzero"):
-        if mode not in ("nonzero", "one"):
-            raise ValueError(f"unknown EnvSwitch mode {mode!r}")
+    def __init__(self, var: str):
         self.var = var
-        self.default = default
-        self.mode = mode
         self._value = _UNSET
         EnvSwitch._registry.append(self)
 
     def __call__(self) -> bool:
         value = self._value
         if value is _UNSET:
-            raw = os.environ.get(self.var, self.default)
-            value = (raw == "1") if self.mode == "one" else (raw != "0")
-            self._value = value
+            value = self._value = os.environ.get(self.var) != "0"
         return value
 
     def refresh(self) -> None:

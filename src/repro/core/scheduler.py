@@ -433,7 +433,7 @@ def _health_monitor(
     node's SEL baseline, so only records appended during this run land
     in its slice.
     """
-    if not _health.health_enabled():
+    if not _telemetry_plane.enabled():
         return None
     return _health.HealthMonitor.for_experiment(experiment, node_of)
 
@@ -766,7 +766,10 @@ class _Probe:
 
 class CachePlan:
     """The run cache's side of one measurement phase, shared by every
-    executor: each run is probed when it is reached, not all up front.
+    executor.  The inline loop probes each run just before it would
+    execute; under ``--jobs`` and ``--agents`` the controller probes
+    every pending run before the pool or the fleet starts, so only the
+    misses reach the executor.
 
     :meth:`probe` fingerprints and looks up one run and holds the key,
     the cached outcome and the probe's evidence until the run settles.
@@ -785,13 +788,13 @@ class CachePlan:
 
     def __init__(
         self,
-        cache=None,
-        experiment: Optional[Experiment] = None,
-        runs: Optional[List[Dict[str, Any]]] = None,
-        evidence: Optional[Callable[..., None]] = None,
+        cache,
+        experiment: Experiment,
+        runs: List[Dict[str, Any]],
+        evidence: Callable[..., None],
     ):
         self.cache = cache
-        self._runs = runs or []
+        self._runs = runs
         self._emit = evidence
         self._probes: Dict[int, _Probe] = {}
         self._captured: List[Tuple[str, Dict[str, Any]]] = []
@@ -823,13 +826,10 @@ class CachePlan:
         probe = self._probes.pop(index, None)
         if probe is None:
             return
-        emit = self._emit
-        if emit is not None:
-            for event, fields in probe.evidence:
-                emit(event, **fields)
+        for event, fields in probe.evidence:
+            self._emit(event, **fields)
         if probe.outcome is None and self.cache.store(probe.key, outcome):
-            if emit is not None:
-                emit("cache.store", run=index, key=probe.key)
+            self._emit("cache.store", run=index, key=probe.key)
 
 
 def build_deliver(
@@ -841,10 +841,10 @@ def build_deliver(
     log,
     injector,
     on_error: str,
-    on_run_complete: Optional[Callable] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    adopt: Optional[Callable] = None,
-    cache_plan: Optional[CachePlan] = None,
+    on_run_complete: Optional[Callable],
+    progress: Optional[Callable[[int, int], None]],
+    adopt: Callable,
+    cache_plan: CachePlan,
 ) -> Callable[[int, Optional[RunOutcome]], None]:
     """The canonical per-run persistence step, as a reorder-buffer sink.
 
@@ -866,45 +866,32 @@ def build_deliver(
     executor-independent no matter when the executor probed the run.
     """
     total = len(runs)
-    plan = cache_plan or CachePlan()
 
     def deliver(index: int, outcome: Optional[RunOutcome]) -> None:
         """Persist one ready run; ``None`` marks a journal adoption."""
         if outcome is None:
             record = adopt(exp_dir, index, runs[index], completed[index])
             handle.runs.append(record)
-            adopt_telemetry = getattr(log, "adopt_run", None)
-            if adopt_telemetry is not None:
-                adopt_telemetry(completed[index])
-            if log is not None:
-                log.event(
-                    f"run {index}: {runs[index]} -> ok (adopted from journal)"
-                )
+            log.adopt_run(completed[index])
+            log.event(f"run {index}: {runs[index]} -> ok (adopted from journal)")
             if progress is not None:
                 progress(index + 1, total)
             return
         record, run_dir = persist_outcome(exp_dir, outcome, log)
         handle.runs.append(record)
-        plan.settle(index, outcome)
+        cache_plan.settle(index, outcome)
         # Re-sequence the worker's telemetry buffer in run order; its
         # snapshot is journalled with the run, in the same record.
-        merge_telemetry = getattr(log, "merge_run", None)
-        evidence = {}
-        if merge_telemetry is not None:
-            evidence = merge_telemetry(
-                index, outcome.telemetry, health=outcome.health,
-            )
+        evidence = log.merge_run(index, outcome.telemetry, health=outcome.health)
         if injector is not None:
             injector.events.extend(outcome.fault_events)
-        if journal is not None:
-            journal.record_run(
-                index, outcome.loop_instance, ok=record.ok,
-                retried=record.retried, error=record.error,
-                run_dir=os.path.basename(run_dir.path), **evidence,
-            )
-        if log is not None:
-            status = "ok" if record.ok else f"FAILED ({record.error})"
-            log.event(f"run {index}: {outcome.loop_instance} -> {status}")
+        journal.record_run(
+            index, outcome.loop_instance, ok=record.ok,
+            retried=record.retried, error=record.error,
+            run_dir=os.path.basename(run_dir.path), **evidence,
+        )
+        status = "ok" if record.ok else f"FAILED ({record.error})"
+        log.event(f"run {index}: {outcome.loop_instance} -> {status}")
         if on_run_complete is not None:
             on_run_complete(record, run_dir.path)
         if progress is not None:

@@ -580,9 +580,8 @@ def run_batched(moongen, job, spec: DagSpec) -> None:
     job's finish event stays scheduled, so overlap detection and
     ``finished`` timing are unchanged.
 
-    Telemetry is strictly O(1) per batch — one counter, one span whose
-    wall-clock profile feeds the overhead benchmark — so the replay
-    passes themselves carry zero instrumentation.
+    Telemetry is strictly O(1) per batch — one counter and one span —
+    so the replay passes themselves carry zero instrumentation.
     """
     collector = _telemetry.current()
     if collector is None:
@@ -594,8 +593,7 @@ def run_batched(moongen, job, spec: DagSpec) -> None:
         stages=len(spec.stages) + 1,
     )
     try:
-        with span.profile():
-            _replay_dag(moongen, job, spec)
+        _replay_dag(moongen, job, spec)
     finally:
         collector.finish(span)
 

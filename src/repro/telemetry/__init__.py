@@ -9,16 +9,15 @@ that execution metadata as first-class artifacts:
 
 * :mod:`repro.telemetry.spans` — nested, monotonic-sequence-ordered
   spans with attributes; virtual-time durations only, so artifacts stay
-  byte-reproducible (wall-clock profiling is opt-in via
-  ``POS_TELEMETRY_WALLCLOCK=1`` and lands in a sidecar, never in the
-  deterministic trace);
+  byte-reproducible;
 * :mod:`repro.telemetry.metrics` — counters, gauges and histograms with
   deterministic snapshots;
 * :mod:`repro.telemetry.context` — the ambient collector deep layers
   (retry policy, fault injector, event engine, fast path, load
   generator) report into without explicit plumbing;
 * :mod:`repro.telemetry.plane` — the experiment-level plane: writes
-  ``trace.jsonl`` / ``telemetry.json`` and the byte-compatible legacy
+  ``trace.jsonl`` / ``telemetry.json`` / ``health.json`` and the
+  byte-compatible legacy
   ``controller.log``, and hands each run's snapshot to its
   ``journal.jsonl`` record;
 * :mod:`repro.telemetry.report` — renders the per-run provenance table
@@ -31,7 +30,8 @@ for any ``--jobs N`` (workers return span/metric buffers inside
 ``RunOutcome``; the parent assigns global sequence numbers in run order)
 and across a crash plus :meth:`Controller.resume` (adopted runs replay
 their buffers from their ``journal.jsonl`` records).  ``POS_TELEMETRY=0``
-disables collection entirely (the overhead-benchmark baseline).
+disables collection entirely, health included (the overhead-benchmark
+baseline).
 """
 
 from __future__ import annotations

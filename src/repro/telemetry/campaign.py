@@ -17,8 +17,8 @@ wall clock, no resume markers.
     experiment outcomes, merged metrics from every experiment's
     ``telemetry.json``, and a health roll-up from every experiment's
     ``health.json``.  Metrics and health sections appear only for the
-    experiments that produced them (the ``POS_TELEMETRY`` /
-    ``POS_HEALTH`` kill switches hold at campaign scope too).
+    experiments that produced them (the ``POS_TELEMETRY`` kill switch
+    holds at campaign scope too).
 """
 
 from __future__ import annotations

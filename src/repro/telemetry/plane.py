@@ -22,10 +22,9 @@ Owns every telemetry artifact of one experiment execution:
     buffer) and written with the run's fsynced journal record.
 ``telemetry.json``
     The experiment-wide metric aggregate, written at finalization.
-``trace-wall.jsonl``
-    Opt-in sidecar (``POS_TELEMETRY_WALLCLOCK=1``) carrying wall-clock
-    profile measurements; deliberately separate so the deterministic
-    artifacts never embed wall time.
+``health.json``
+    The experiment-level health fold (:mod:`repro.testbed.health`),
+    carried by this plane and gated with it.
 ``dispatch.jsonl``
     Evidence sidecar of the distributed execution plane (``--agents``):
     agent spawns, registrations, leases, dispatches, deaths,
@@ -42,6 +41,12 @@ Owns every telemetry artifact of one experiment execution:
 ``cache.jsonl``
     The run cache's hit/miss/store/corrupt evidence, under the same
     quarantine and gate as ``dispatch.jsonl``.
+
+``POS_TELEMETRY=0`` turns off every deterministic observation artifact
+above — ``trace.jsonl``, ``telemetry.json``, ``health.json`` and the
+``telemetry``/``health`` fields of the journal — and
+``POS_DISPATCH_LOG=0`` turns off both evidence sidecars; the legacy
+log and the journal itself are unconditional.
 
 The causal fleet DAG (one dispatch → run → persist chain per run) is
 not a file of its own: :func:`repro.telemetry.criticalpath.load_fleet_trace`
@@ -63,24 +68,21 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.core.envcache import EnvSwitch
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import LogicalClock, Span, strip_wall
+from repro.telemetry.spans import LogicalClock, Span
 
 __all__ = [
     "ExperimentTelemetry",
     "TRACE_NAME",
     "TELEMETRY_NAME",
-    "WALL_SIDECAR_NAME",
     "DISPATCH_NAME",
     "CACHE_NAME",
     "EVIDENCE_SIDECARS",
     "enabled",
-    "wallclock_enabled",
     "dispatch_enabled",
 ]
 
 TRACE_NAME = "trace.jsonl"
 TELEMETRY_NAME = "telemetry.json"
-WALL_SIDECAR_NAME = "trace-wall.jsonl"
 DISPATCH_NAME = "dispatch.jsonl"
 CACHE_NAME = "cache.jsonl"
 
@@ -91,16 +93,13 @@ EVIDENCE_SIDECARS = (DISPATCH_NAME, CACHE_NAME)
 _LEGACY_LINE = re.compile(r"^\[(\d+)\] ")
 
 
-#: Whether telemetry collection is on (``POS_TELEMETRY`` != 0).
-#: Resolved once per world (:mod:`repro.core.envcache`), not per run.
+#: Whether telemetry and health collection are on (``POS_TELEMETRY``
+#: != 0).  Resolved once per world (:mod:`repro.core.envcache`), not
+#: per run.
 enabled = EnvSwitch("POS_TELEMETRY")
 
-#: Whether wall-clock profiles go to the ``trace-wall.jsonl`` sidecar
-#: (``POS_TELEMETRY_WALLCLOCK`` == 1; off by default).
-wallclock_enabled = EnvSwitch("POS_TELEMETRY_WALLCLOCK", default="0", mode="one")
-
-#: Whether the ``dispatch.jsonl`` evidence sidecar is written
-#: (``POS_DISPATCH_LOG`` != 0; on by default).
+#: Whether the ``dispatch.jsonl`` and ``cache.jsonl`` evidence sidecars
+#: are written (``POS_DISPATCH_LOG`` != 0; on by default).
 dispatch_enabled = EnvSwitch("POS_DISPATCH_LOG")
 
 
@@ -146,31 +145,57 @@ class _WorkflowLog:
         self._handle.close()
 
 
+class _EvidenceLog:
+    """One evidence sidecar: lazily opened, appended to on resume.
+
+    Every record carries its own ``seq`` and is flushed as written.
+    """
+
+    def __init__(self, path: str, append: bool):
+        self._path = path
+        self._mode = "a" if append else "w"
+        self._handle = None
+        self._seq = 0
+
+    def write(self, event: str, fields: Dict[str, Any]) -> None:
+        if not dispatch_enabled():
+            return
+        if self._handle is None:
+            self._handle = open(self._path, self._mode, encoding="utf-8")
+        self._seq += 1
+        record = {"seq": self._seq, "event": event}
+        record.update(fields)
+        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
 class ExperimentTelemetry:
     """Spans, metrics and the legacy log for one experiment execution."""
 
     def __init__(self, experiment_path: str, resumed: bool = False):
         # Imported lazily: the testbed package must stay importable
         # without triggering the telemetry package (and vice versa).
-        from repro.testbed.health import ExperimentHealth, health_enabled
+        from repro.testbed.health import ExperimentHealth
 
         self.path = experiment_path
         self.enabled = enabled()
         #: The experiment-level health fold (``health.json``); carried
         #: by the telemetry plane so merge/adopt/finalize stay a single
-        #: call site, but gated independently (``POS_HEALTH=0``).
-        self.health = (
-            ExperimentHealth(experiment_path) if health_enabled() else None
-        )
+        #: call site, and gated with it.
+        self.health = ExperimentHealth(experiment_path)
         self._log = _WorkflowLog(experiment_path, append=resumed)
         self._trace = None
-        self._wall = None
-        self._dispatch = None
-        self._dispatch_append = resumed
-        self._dispatch_seq = 0
-        self._cache_log = None
-        self._cache_append = resumed
-        self._cache_seq = 0
+        self._dispatch = _EvidenceLog(
+            os.path.join(experiment_path, DISPATCH_NAME), resumed
+        )
+        self._cache_log = _EvidenceLog(
+            os.path.join(experiment_path, CACHE_NAME), resumed
+        )
         self._clock = LogicalClock()
         self._seq = 0
         self._stack: List[Span] = []
@@ -185,12 +210,6 @@ class ExperimentTelemetry:
             self._trace = open(
                 os.path.join(experiment_path, TRACE_NAME), "w", encoding="utf-8"
             )
-            if wallclock_enabled():
-                self._wall = open(
-                    os.path.join(experiment_path, WALL_SIDECAR_NAME),
-                    "a" if resumed else "w",
-                    encoding="utf-8",
-                )
 
     # -- legacy log ----------------------------------------------------------
 
@@ -208,19 +227,7 @@ class ExperimentTelemetry:
         contract (see the module docstring), so records may carry
         placement- and crash-schedule-dependent detail freely.
         """
-        if not dispatch_enabled():
-            return
-        if self._dispatch is None:
-            self._dispatch = open(
-                os.path.join(self.path, DISPATCH_NAME),
-                "a" if self._dispatch_append else "w",
-                encoding="utf-8",
-            )
-        self._dispatch_seq += 1
-        record = {"seq": self._dispatch_seq, "event": event}
-        record.update(fields)
-        self._dispatch.write(json.dumps(record, sort_keys=True) + "\n")
-        self._dispatch.flush()
+        self._dispatch.write(event, fields)
 
     # -- run-cache evidence ---------------------------------------------------
 
@@ -234,19 +241,7 @@ class ExperimentTelemetry:
         must stay ``diff -r -x cache.jsonl``-identical to a cold one.
         ``pos report`` folds these records into cache provenance.
         """
-        if not dispatch_enabled():
-            return
-        if self._cache_log is None:
-            self._cache_log = open(
-                os.path.join(self.path, CACHE_NAME),
-                "a" if self._cache_append else "w",
-                encoding="utf-8",
-            )
-        self._cache_seq += 1
-        record = {"seq": self._cache_seq, "event": event}
-        record.update(fields)
-        self._cache_log.write(json.dumps(record, sort_keys=True) + "\n")
-        self._cache_log.flush()
+        self._cache_log.write(event, fields)
 
     # -- workflow spans ------------------------------------------------------
 
@@ -288,21 +283,22 @@ class ExperimentTelemetry:
         run's health payload (if any) is folded the same way.
 
         Returns the run's evidence for its journal record: ``telemetry``
-        (the wall-free span/metric snapshot) and ``health`` (the
-        payload), each present only when it was collected.
+        (the span/metric snapshot) and ``health`` (the payload), each
+        present only when it was collected.
         """
         evidence: Dict[str, dict] = {}
-        if self.health is not None and health is not None:
+        if not self.enabled:
+            return evidence
+        if health is not None:
             self.health.fold(health)
             evidence["health"] = health
-        if not self.enabled or payload is None:
-            return evidence
-        evidence["telemetry"] = {
-            "run": index,
-            "spans": [strip_wall(span) for span in payload.get("spans", [])],
-            "metrics": payload.get("metrics", {}),
-        }
-        self._merge_buffer(payload)
+        if payload is not None:
+            evidence["telemetry"] = {
+                "run": index,
+                "spans": payload.get("spans", []),
+                "metrics": payload.get("metrics", {}),
+            }
+            self._merge_buffer(payload)
         return evidence
 
     def adopt_run(self, entry: dict) -> None:
@@ -312,10 +308,11 @@ class ExperimentTelemetry:
         ``health`` evidence feed the trace and the aggregates exactly
         as if the run had executed here.
         """
-        if self.health is not None:
-            self.health.fold(entry.get("health"))
+        if not self.enabled:
+            return
+        self.health.fold(entry.get("health"))
         snapshot = entry.get("telemetry")
-        if not self.enabled or snapshot is None:
+        if snapshot is None:
             return
         self._merge_buffer(
             {"spans": snapshot.get("spans", []),
@@ -329,14 +326,13 @@ class ExperimentTelemetry:
         top = 0
         for span in spans:
             top = max(top, int(span["seq"]) + 1)
-            entry = strip_wall(span)
-            entry = dict(entry)
+            entry = dict(span)
             entry["seq"] = base + int(span["seq"])
             entry["parent"] = (
                 parent if span.get("parent") is None
                 else base + int(span["parent"])
             )
-            self._write_span(entry, clock="sim", wall=span.get("wall_s"))
+            self._write_span(entry, clock="sim")
         self._seq = base + top
         self.run_metrics.merge(payload.get("metrics", {}))
 
@@ -350,8 +346,8 @@ class ExperimentTelemetry:
         extra_gauges: Optional[Dict[str, float]] = None,
         provenance: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Write the experiment-wide ``telemetry.json`` aggregate
-        (and, when the health plane is on, ``health.json``).
+        """Write the experiment-wide ``telemetry.json`` and
+        ``health.json`` aggregates.
 
         ``provenance`` records the execution's reproducibility
         fingerprint (code epoch, platform, seed, …) so comparative
@@ -360,10 +356,9 @@ class ExperimentTelemetry:
         function of the experiment's inputs — never of the schedule —
         to preserve the byte-identity contract.
         """
-        if self.health is not None:
-            self.health.finalize(experiment)
         if not self.enabled:
             return
+        self.health.finalize(experiment)
         for name, value in sorted(runs.items()):
             self.experiment_metrics.gauge(f"runs.{name}", value)
         if journal_entries is not None:
@@ -407,35 +402,15 @@ class ExperimentTelemetry:
         if self._trace is not None:
             self._trace.close()
             self._trace = None
-        if self._wall is not None:
-            self._wall.close()
-            self._wall = None
-        if self._dispatch is not None:
-            self._dispatch.close()
-            self._dispatch = None
-        if self._cache_log is not None:
-            self._cache_log.close()
-            self._cache_log = None
+        self._dispatch.close()
+        self._cache_log.close()
 
     # -- internals -----------------------------------------------------------
 
-    def _write_span(
-        self, entry: dict, clock: str, wall: Optional[float] = None,
-    ) -> None:
+    def _write_span(self, entry: dict, clock: str) -> None:
         if self._trace is None:
             return
-        wall = entry.pop("wall_s", wall)
-        record = dict(entry)
-        record["clock"] = clock
-        self._trace.write(json.dumps(record, sort_keys=True) + "\n")
+        entry["clock"] = clock
+        self._trace.write(json.dumps(entry, sort_keys=True) + "\n")
         self._trace.flush()
         self._spans_written += 1
-        if self._wall is not None and wall is not None:
-            self._wall.write(
-                json.dumps(
-                    {"name": entry["name"], "seq": entry["seq"], "wall_s": wall},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            self._wall.flush()

@@ -10,21 +10,16 @@ it in the artifact, exactly like a post-order trace).
 Times come from an injectable virtual clock — the netsim simulator for
 run-scoped spans, a logical tick clock for controller workflow spans —
 never from the wall clock, so the trace artifact is byte-reproducible.
-Wall-clock profiling (:meth:`Span.profile`) stores its measurement on
-the in-memory span only; the artifact writers strip it from the
-deterministic files and divert it to a sidecar when
-``POS_TELEMETRY_WALLCLOCK=1`` is set.
 """
 
 from __future__ import annotations
 
-import time as _time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["LogicalClock", "Span", "RunTelemetry", "strip_wall"]
+__all__ = ["LogicalClock", "Span", "RunTelemetry"]
 
 
 class LogicalClock:
@@ -49,7 +44,7 @@ class LogicalClock:
 class Span:
     """One live span; becomes a plain record dict when it ends."""
 
-    __slots__ = ("name", "seq", "parent", "start", "end", "attrs", "wall_s")
+    __slots__ = ("name", "seq", "parent", "start", "end", "attrs")
 
     def __init__(
         self,
@@ -65,30 +60,14 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.attrs = attrs
-        self.wall_s: Optional[float] = None
 
     def set(self, **attrs: Any) -> None:
         """Attach or overwrite attributes while the span is live."""
         self.attrs.update(attrs)
 
-    @contextmanager
-    def profile(self) -> Iterator["Span"]:
-        """Measure wall-clock time of a block onto this span.
-
-        The measurement never enters the deterministic artifacts; it
-        feeds the overhead benchmark and, when
-        ``POS_TELEMETRY_WALLCLOCK=1``, the ``trace-wall.jsonl`` sidecar.
-        """
-        begin = _time.perf_counter()
-        try:
-            yield self
-        finally:
-            elapsed = _time.perf_counter() - begin
-            self.wall_s = (self.wall_s or 0.0) + elapsed
-
     def record(self, end: float) -> dict:
         self.end = end
-        entry: Dict[str, Any] = {
+        return {
             "seq": self.seq,
             "parent": self.parent,
             "name": self.name,
@@ -96,16 +75,6 @@ class Span:
             "end": end,
             "attrs": dict(self.attrs),
         }
-        if self.wall_s is not None:
-            entry["wall_s"] = self.wall_s
-        return entry
-
-
-def strip_wall(span: dict) -> dict:
-    """A copy of a span record without the wall-clock measurement."""
-    if "wall_s" not in span:
-        return span
-    return {key: value for key, value in span.items() if key != "wall_s"}
 
 
 class RunTelemetry:

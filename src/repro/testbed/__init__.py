@@ -5,7 +5,6 @@ from repro.testbed.health import (
     ExperimentHealth,
     HealthMonitor,
     HealthStateMachine,
-    health_enabled,
 )
 from repro.testbed.images import ImageRegistry, ImageSpec, default_registry
 from repro.testbed.node import Node, NodeState
@@ -38,7 +37,6 @@ __all__ = [
     "ExperimentHealth",
     "HealthMonitor",
     "HealthStateMachine",
-    "health_enabled",
     "ImageRegistry",
     "ImageSpec",
     "default_registry",

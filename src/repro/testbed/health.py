@@ -23,7 +23,9 @@ in run order (:class:`ExperimentHealth`): worsening observations jump
 the state immediately, recovery steps it back one level per clean run.
 
 This module deliberately imports nothing from :mod:`repro.telemetry`
-(the telemetry plane imports *it*); the kill switch is ``POS_HEALTH=0``.
+(the telemetry plane imports *it*); the plane's switch gates it too, so
+``POS_TELEMETRY=0`` turns health collection off with the rest of the
+deterministic observation artifacts.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import json
 import os
 from typing import Any, Dict, List, Optional
 
-from repro.core.envcache import EnvSwitch
 from repro.core.errors import PowerError
 from repro.testbed.power import STANDBY_POWER_W, TEMP_CRITICAL_C
 
@@ -42,7 +43,6 @@ __all__ = [
     "DEGRADED",
     "WEDGED",
     "UNMONITORED",
-    "health_enabled",
     "advance_state",
     "HealthStateMachine",
     "HealthMonitor",
@@ -62,11 +62,6 @@ UNMONITORED = "unmonitored"
 
 _LEVEL = {HEALTHY: 0, DEGRADED: 1, WEDGED: 2}
 _ORDER = (HEALTHY, DEGRADED, WEDGED)
-
-
-#: Whether the health plane is on (``POS_HEALTH`` != 0).  Resolved once
-#: per world (:mod:`repro.core.envcache`), not per run.
-health_enabled = EnvSwitch("POS_HEALTH")
 
 
 def advance_state(state: str, observation: str) -> str:

@@ -4,9 +4,8 @@ Each run's health payload (the ``health`` field of its ``journal.jsonl``
 record) and the experiment-level ``health.json`` obey
 the same contract as every other artifact of the toolchain: byte-
 identical for any ``--jobs N`` and across a crash + resume, and pinned
-by checked-in JSON schemas.  ``POS_HEALTH=0`` suppresses them without
-touching anything else; ``POS_TELEMETRY=0`` does *not* suppress them —
-the health plane rides the scheduler, not the telemetry plane.
+by checked-in JSON schemas.  ``POS_TELEMETRY=0`` suppresses them along
+with every other deterministic observation artifact.
 """
 
 from __future__ import annotations
@@ -176,25 +175,16 @@ class TestHealthDeterminism:
         assert handle.completed_runs == 4 and handle.resumed_runs == 2
         assert health_files(str(tmp_path / "crashed")) == clean
 
-    def test_kill_switch_suppresses_health_only(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("POS_HEALTH", "0")
-        handle = run_case_study("pos", str(tmp_path), jobs=1, **SMALL)
-        root = handle.result_path
-        assert not os.path.exists(os.path.join(root, HEALTH_NAME))
-        assert "health" not in journal_runs(root)[0]
-        # The telemetry plane is untouched by the health switch.
-        assert os.path.exists(os.path.join(root, "trace.jsonl"))
-
-    def test_health_survives_telemetry_kill_switch(
+    def test_telemetry_kill_switch_suppresses_health(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("POS_TELEMETRY", "0")
         handle = run_case_study("pos", str(tmp_path), jobs=1, **SMALL)
         root = handle.result_path
-        assert os.path.exists(os.path.join(root, HEALTH_NAME))
-        entry = journal_runs(root)[0]
-        assert "health" in entry and "telemetry" not in entry
-        assert not os.path.exists(os.path.join(root, "trace.jsonl"))
+        for name in ("trace.jsonl", "telemetry.json", HEALTH_NAME):
+            assert not os.path.exists(os.path.join(root, name))
+        for entry in journal_runs(root).values():
+            assert "telemetry" not in entry and "health" not in entry
 
     def test_sel_events_enter_the_trace(self, tmp_path):
         """Health SEL records surface as telemetry events under the run."""

@@ -4,7 +4,7 @@ The contract under test (the ISSUE's acceptance criteria): a repeated
 (scenario, variable assignment, seed) point is served from the cache
 with *zero* simulator runs executed and a byte-identical artifact tree
 — sequentially, under ``--jobs`` and under ``--agents`` alike — while
-``POS_RUN_CACHE=0`` kills the cache, fault plans disable it, corrupt
+an empty ``POS_RUN_CACHE_DIR`` configures none, fault plans disable it, corrupt
 entries degrade to misses, and the only trace a warm execution leaves
 is the ``cache.jsonl`` evidence sidecar (the deterministic artifacts
 must not know the cache exists).
@@ -180,7 +180,7 @@ class TestInvalidation:
         monkeypatch.setenv("POS_RUN_CACHE_DIR", str(tmp_path / "cache"))
         run_case_study("pos", str(tmp_path / "cold"), **SWEEP)
         counted_runs.clear()
-        monkeypatch.setenv("POS_RUN_CACHE", "0")
+        monkeypatch.setenv("POS_RUN_CACHE_DIR", "")
         run_case_study("pos", str(tmp_path / "again"), **SWEEP)
         assert sorted(counted_runs) == [0, 1, 2, 3]  # everything re-ran
         assert cache_events(tmp_path / "again") == []

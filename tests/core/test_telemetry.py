@@ -5,7 +5,7 @@ The plane's contract mirrors the scheduler's: `trace.jsonl`,
 telemetry snapshot) are *byte-identical*
 for any ``--jobs N``, for the event path and the batched fast path alike,
 and across a crash + ``Controller.resume``.  Wall-clock measurements never
-enter those files — they live in the opt-in ``trace-wall.jsonl`` sidecar.
+enter those files.
 ``pos report`` reconstructs per-run attempts/faults/paths from the
 published artifacts alone, and the checked-in JSON schemas pin the
 artifact format.
@@ -29,7 +29,8 @@ from repro.telemetry.jsonl import fold_journal
 from repro.telemetry.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.telemetry.report import load_report, render_report
 from repro.telemetry.schema import SchemaError, validate, validate_experiment
-from repro.telemetry.spans import RunTelemetry, strip_wall
+from repro.telemetry.spans import RunTelemetry
+from tests.conftest import tree
 
 CLOCK = lambda: 1_600_000_000.0  # noqa: E731 - fixed wall clock => fixed tree paths
 
@@ -172,18 +173,6 @@ class TestRunTelemetry:
         collector.begin("attempt")  # never finished explicitly
         collector.finish(outer)
         assert [span["name"] for span in collector.spans] == ["attempt", "run"]
-
-    def test_profile_accumulates_wall_and_strip_removes_it(self):
-        collector = RunTelemetry()
-        span = collector.begin("fastpath.batch")
-        with span.profile():
-            pass
-        with span.profile():
-            pass
-        entry = collector.finish(span)
-        assert entry["wall_s"] >= 0.0
-        assert "wall_s" not in strip_wall(entry)
-        assert strip_wall({"name": "x"}) == {"name": "x"}
 
     def test_payload_is_plain_data(self):
         import pickle
@@ -418,22 +407,18 @@ class TestArtifactDeterminism:
         assert os.path.exists(os.path.join(root, "controller.log"))
         assert os.path.exists(os.path.join(root, JOURNAL_NAME))
 
-    def test_wall_sidecar_never_touches_deterministic_files(
+    def test_retired_switches_leave_the_tree_unchanged(
         self, tmp_path, monkeypatch
     ):
+        """``POS_TELEMETRY`` and ``POS_DISPATCH_LOG`` are the only
+        observation switches: variables that once gated health, a
+        wall-clock sidecar or the run cache change nothing."""
         run_case_study("pos", str(tmp_path / "plain"), jobs=1, **SMALL)
+        monkeypatch.setenv("POS_HEALTH", "0")
         monkeypatch.setenv("POS_TELEMETRY_WALLCLOCK", "1")
-        run_case_study("pos", str(tmp_path / "wall"), jobs=1, **SMALL)
-        assert telemetry_files(str(tmp_path / "wall")) == telemetry_files(
-            str(tmp_path / "plain")
-        )
-        sidecar = os.path.join(
-            find_result_dir(str(tmp_path / "wall")), "trace-wall.jsonl"
-        )
-        assert os.path.isfile(sidecar)
-        with open(sidecar) as handle:
-            profiles = [json.loads(line) for line in handle]
-        assert profiles and all("wall_s" in record for record in profiles)
+        monkeypatch.setenv("POS_RUN_CACHE", "0")
+        run_case_study("pos", str(tmp_path / "retired"), jobs=1, **SMALL)
+        assert tree(str(tmp_path / "retired")) == tree(str(tmp_path / "plain"))
 
 
 # --------------------------------------------------------------------------
