@@ -320,8 +320,7 @@ class MoonGen:
             collector.count(
                 "loadgen.latency_samples", len(job.latency_samples_s)
             )
-            for sample in job.latency_samples_s:
-                collector.observe("loadgen.latency_s", sample)
+            collector.observe_many("loadgen.latency_s", job.latency_samples_s)
 
 
 def _mbit(bytes_count: int, duration_s: float, framing_bytes: int = 0, packets: int = 0) -> float:

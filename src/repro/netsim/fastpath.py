@@ -4,11 +4,10 @@ The discrete-event engine schedules roughly six Python-level events per
 generated packet, so a Fig. 3 sweep costs ``rates x sizes x packets``
 heap operations and callback dispatches.  For every topology the case
 studies measure — a load generator wired through deterministic
-store-and-forward elements and back — those events are analytically
-predictable: the network between the generator's TX and RX ports is a
-*feed-forward DAG of FIFO stages* with constant per-stage delays, so
-each packet's full trajectory follows from Lindley-style recurrences
-over the packets sent before it.
+store-and-forward elements and back — the network between the
+generator's TX and RX ports is a *feed-forward DAG of FIFO stages* with
+constant per-stage delays, so each packet's trajectory follows from
+Lindley-style recurrences over the packets sent before it.
 
 :func:`compile_dag` walks the wiring from the TX port and emits a
 :class:`DagSpec` — a stage table of serialization, FIFO-service,
@@ -17,32 +16,34 @@ declares ``constant_delay()`` and every device a replay capability:
 ``deterministic_service`` (a size-pure cost model) or
 ``seeded_service`` (draws from the device's own seeded RNG in a fixed
 order, the vpos guest of :mod:`repro.netsim.vm`).  Eligibility is
-declared, not hard-coded: a :class:`~repro.netsim.router.LinuxRouter`
-subclass with a different (but still size-pure) cost model compiles as
-long as it re-declares the capability for its own overrides; a
-subclass that overrides behaviour below the declaring class is
-rejected.  Consecutive runs that share a compiled topology (a rate x
-size sweep on one world) reuse the spec through :func:`acquire_dag`,
-which re-verifies quiescence instead of recompiling.
+declared, not hard-coded: a subclass that overrides behaviour below
+the class declaring its capability is rejected.  Consecutive runs that
+share a compiled topology (a rate x size sweep on one world) reuse the
+spec through :func:`acquire_dag`, which re-verifies quiescence instead
+of recompiling.
 
-:func:`run_batched` replays one whole measurement job as a short
-sequence of whole-column passes that CPython executes in C
-(``itertools.accumulate``, ``map``, list comprehensions, ``bisect``,
-``all(map(operator.le, ...))``): no heap, no callbacks, no ``Packet``
-allocations and — in every regime that verifies — no per-packet
-Python loop body.  Sends are processed in blocks of :data:`_BLOCK`;
-each FIFO stage (the generator's TX ring, a device backlog, an egress
-NIC ring) carries its server free time and its last ``cap`` ring pop
-times from block to block, so a run's memory is bounded by the block,
-not by its packet count.
+:func:`run_batched` replays one measurement job as whole-column passes
+that CPython executes in C (``itertools.accumulate``, ``map``, list
+comprehensions, ``bisect``): no heap, no callbacks, no ``Packet``
+allocations and — in every regime that verifies — no per-packet Python
+loop body.  Sends are processed in blocks of :data:`_BLOCK`; each FIFO
+stage (the generator's TX ring, a device backlog, an egress NIC ring)
+carries its server free time and the ring pops that can still refuse a
+frame from block to block, so a run's memory is bounded by the block.
+A block also carries a proved lower bound on its inter-arrival gaps
+from stage to stage: the send gap for CBR sends, the service time
+behind a busy FIFO, the input bound behind an idle FIFO or a
+match-action pipeline (each less a few ulps of rounding), and none
+behind Poisson sends, an RSS or a VM stage.
 
 Each FIFO stage picks a *regime* up front from its nominal input
 spacing versus its service time, then proves the choice on every block
-with a C-level check before committing any state:
+before committing any state:
 
 * **under-loaded** (service < spacing): every frame finds the server
-  idle, completions are element-wise ``F = a + s``; verified by
-  ``all(map(ge, A[1:], F))``.  No drops.
+  idle, departures are element-wise ``a + s + post``; proved from the
+  carried gap bound without looking at a frame (one ``min`` over the
+  gaps when no bound is known).  No drops.
 * **critical** (service ≈ spacing — an egress NIC fed frames spaced
   exactly one serialization time apart, where rounding leaves 1-ulp
   waits): the max-plus recurrence ``f = max(a, f) + s`` as one
@@ -65,18 +66,16 @@ with a C-level check before committing any state:
   come from ``bisect`` plus a running maximum, verified by every
   admitted frame arriving no later than its predecessor's completion.
 
-A regime whose check fails hands the block to the next more general
+A regime whose proof fails hands the block to the next more general
 one (under-loaded → critical → saturated) and finally to the
 per-packet recurrence (:func:`_queue_loop`), which carries the same
-state; only a block that nothing else verifies pays for it.  Poisson
-send times keep their RNG loop (one ``expovariate`` draw per send,
-after the send) and then flow through the same stage passes; an RSS
-stage keeps its per-packet body inside the block pipeline and holds
-back completions a later block could still precede.  A seeded VM stage
-(:class:`_VmStage`) is a per-packet loop over the guest's arrivals,
-completions and its hypervisor's pauses, in the event heap's order,
-making the event path's RNG draws in the event path's order; it too
-holds back the completions a later arrival could still influence.
+state.  Poisson send times keep their RNG loop (one ``expovariate``
+draw per send, after the send).  An RSS stage keeps its per-packet
+body and holds back completions a later block could still precede.  A
+seeded VM stage (:class:`_VmStage`) is a per-packet loop over the
+guest's arrivals, completions and its hypervisor's pauses in the event
+heap's order, making the event path's RNG draws; it too holds back the
+completions a later arrival could still influence.
 
 Every float is produced by the same operation, on the same operands,
 in the same order as the event engine, so the replay is bit-identical:
@@ -86,7 +85,10 @@ in the same order as the event engine, so the replay is bit-identical:
 * TX-ring occupancy uses the pop-at-serialization-start semantics of
   :class:`~repro.netsim.nic.Nic`, device backlogs the
   pop-at-completion semantics of
-  :class:`~repro.netsim.router.ForwardingDevice`;
+  :class:`~repro.netsim.router.ForwardingDevice`; a pop frees its slot
+  for an arrival due at its instant only if its event was scheduled
+  first, which behind RSS cores slower than the NIC it was not
+  (:class:`_NicStage`);
 * RSS completions from different cores are merged back into egress
   arrival order on (completion time, service start, arrival index) —
   the earlier-started service's finish event entered the heap first
@@ -129,7 +131,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate, chain, islice, repeat
-from operator import add, ge, le, sub
+from operator import add, le, sub
 from typing import Dict, List, Optional
 
 from repro.core.envcache import EnvSwitch
@@ -613,42 +615,52 @@ class _Queue:
 
     ``pops_at_start`` selects when a ring slot frees: a NIC TX ring
     frees it when its frame starts serializing, a device backlog when
-    service completes.  ``tail`` holds the ring pop times of the last
-    (at most ``cap``) admitted frames; any older pop time is no later
-    than every arrival still to come, so it can never refuse one.
-    ``post`` is the constant delay added to each departure (the wire
-    after a NIC).
+    service completes.  ``tail`` holds the ring pop times that can still
+    refuse a frame: at most the last ``cap``, since any older pop time
+    is no later than every arrival still to come.  After an under-loaded
+    block it holds the last pop alone: every other pop is no later than
+    the next frame's arrival (its own, at start), so no later than the
+    block's last arrival.  ``post`` is the constant delay added to each
+    departure (the wire after a NIC).  A ``late`` ring's arrivals run
+    before the serialization finish due at their instant
+    (:func:`_queue_loop`).
     """
 
-    __slots__ = ("service", "cap", "post", "pops_at_start", "regimes",
-                 "free", "tail")
+    __slots__ = ("service", "cap", "post", "pops_at_start", "late",
+                 "regimes", "free", "tail")
 
     def __init__(self, service: float, cap: int, post: float,
-                 pops_at_start: bool, spacing: float):
+                 pops_at_start: bool, spacing: float, late: bool = False):
         self.service = service
         self.cap = cap
         self.post = post
         self.pops_at_start = pops_at_start
+        self.late = late
         self.free = -1.0
         self.tail: List[float] = []
         if cap < 1:
             self.regimes = ()
         elif service < spacing * (1.0 - _CRITICAL_BAND):
-            self.regimes = (_underloaded, _critical, _saturated)
+            # An idle ring admits every frame, late or not.
+            self.regimes = ((_underloaded,) if late else
+                            (_underloaded, _critical, _saturated))
+        elif late:
+            self.regimes = ()
         elif service <= spacing * (1.0 + _CRITICAL_BAND):
             self.regimes = (_critical, _saturated)
         else:
             self.regimes = (_saturated,)
 
-    def feed(self, arrivals: List[float]):
-        """Serve one block of sorted arrivals.
+    def feed(self, arrivals: List[float], gap: Optional[float] = None):
+        """Serve one block of sorted arrivals, each pair ``gap`` or more apart.
 
-        Returns ``(departures, admitted)``: ``admitted`` lists the
+        Returns ``(departures, admitted, gap)``: ``admitted`` lists the
         positions in ``arrivals`` of the frames that entered the ring,
-        or is None when every frame did.
+        or is None when every frame did; ``gap`` is a lower bound on the
+        departures' gaps, or None when none is known.
         """
         for regime in self.regimes:
-            served = regime(self, arrivals)
+            served = regime(self, arrivals, gap)
             if served is not None:
                 return served
         return _queue_loop(self, arrivals)
@@ -661,27 +673,54 @@ class _Queue:
             self.tail = (self.tail + pops)[-cap:]
         self.free = free
 
-    def depart(self, finish: List[float]) -> List[float]:
+    def depart(self, finish: List[float], admitted):
+        """A busy block's departures, admissions and gap bound.
+
+        One server completes frames at least ``fl(f + s) - f`` apart, at
+        least ``s - ulp(d) / 2`` for the last departure ``d``; ``+ post``
+        costs another ulp, and the float ``s - 2 ulp(d)`` lies below that.
+        """
         post = self.post
-        if not post:
-            return finish
-        return [f + post for f in finish]
+        D = [f + post for f in finish] if post else finish
+        return D, admitted, self.service - 2 * math.ulp(D[-1]) if D else None
 
 
-def _underloaded(q: _Queue, A: List[float]):
-    """Every frame finds the server idle: departures are ``a + s``."""
+def _underloaded(q: _Queue, A: List[float], gap: Optional[float] = None):
+    """Every frame finds the server idle: departures are ``a + s + post``.
+
+    Proved from ``gap``, a float no larger than any of the block's real
+    inter-arrival gaps, which the stage upstream carries
+    (:meth:`_Replay.push`); without one it is the least float gap less
+    ``ulp(A[-1])``, which covers the rounding of ``-``.  Proof:
+
+    * the first frame finds the server idle when ``A[0] >= free``;
+    * frame ``i`` does when ``A[i] >= fl(A[i - 1] + s)``.  With
+      ``gap >= s`` the real sum ``A[i - 1] + s`` is at most ``A[i]``, a
+      float, and rounding is monotone, so its rounding is too;
+    * an idle server leaves no pop pending past ``free``, so an idle
+      ring admits every frame.
+
+    The departures keep the arrival gaps but for the rounding of the
+    two additions, at most one ulp of the last departure ``d`` per
+    frame: the float ``gap - 4 ulp(d)`` bounds their gaps.
+    """
     if A[0] < q.free:
         return None
     s = q.service
-    F = [a + s for a in A]
-    if not all(map(ge, islice(A, 1, None), F)):
+    if gap is None:
+        gap = min(map(sub, islice(A, 1, None), A),
+                  default=math.inf) - math.ulp(A[-1])
+    if gap < s:
         return None
-    # An idle server at every arrival leaves no earlier pop pending.
-    q.commit(A if q.pops_at_start else F, F[-1])
-    return q.depart(F), None
+    post = q.post
+    D = [a + s + post for a in A] if post else [a + s for a in A]
+    free = A[-1] + s
+    q.tail = [A[-1] if q.pops_at_start else free]
+    q.free = free
+    return D, None, gap - 4 * math.ulp(D[-1])
 
 
-def _critical(q: _Queue, A: List[float]):
+def _critical(q: _Queue, A: List[float], gap: Optional[float] = None):
     """No frame is dropped: the max-plus recurrence as one accumulate.
 
     While every frame arrives no later than its predecessor completes,
@@ -715,7 +754,7 @@ def _critical(q: _Queue, A: List[float]):
     if not all(map(le, chain(q.tail, P), islice(A, q.cap - len(q.tail), None))):
         return None
     q.commit(P, F[-1])
-    return q.depart(F), None
+    return q.depart(F, None)
 
 
 class _Admitted:
@@ -787,7 +826,8 @@ def _implicit(q: _Queue, A: List[float], F: List[float], pops: List[float],
     return _Admitted(A, pops, k0, K)
 
 
-def _saturated(q: _Queue, A: List[float], bounded: bool = True):
+def _saturated(q: _Queue, A: List[float], gap: Optional[float] = None,
+               bounded: bool = True):
     """The server stays busy: completions form one ``+ s`` chain.
 
     With the chain known, ring admission decouples from service: the
@@ -809,7 +849,7 @@ def _saturated(q: _Queue, A: List[float], bounded: bool = True):
     i0 = bisect_left(A, tail[0]) if k0 == 0 else 0
     if i0 == n:
         # The ring stays full through the whole block.
-        return [], []
+        return [], [], None
     a = A[i0]
     free = q.free
     start = a if a >= free else free
@@ -849,14 +889,21 @@ def _saturated(q: _Queue, A: List[float], bounded: bool = True):
         return None
     del F[K:]
     q.commit(P[:K], F[-1])
-    return q.depart(F), idx
+    return q.depart(F, idx)
 
 
 def _queue_loop(q: _Queue, A: List[float]):
-    """The per-packet recurrence, for blocks no regime verifies."""
+    """The per-packet recurrence, for blocks no regime verifies.
+
+    A frame that waits starts at the finish event of its predecessor.
+    On a ``late`` ring that event runs after the arrivals due at its
+    instant, so its pop frees a slot for none of them: it is recorded
+    one ulp later.
+    """
     s = q.service
     cap = q.cap
     at_start = q.pops_at_start
+    late = q.late
     free = q.free
     pops = deque(q.tail)
     F: List[float] = []
@@ -866,14 +913,18 @@ def _queue_loop(q: _Queue, A: List[float]):
             pops.popleft()
         if len(pops) >= cap:
             continue
-        start = a if a >= free else free
+        if a > free or a == free and not late:
+            start = pop = a
+        else:
+            start = free
+            pop = math.nextafter(free, math.inf) if late else free
         free = start + s
-        pops.append(start if at_start else free)
+        pops.append(pop if at_start else free)
         F.append(free)
         idx.append(i)
     q.free = free
     q.tail = list(pops)
-    return q.depart(F), (None if len(idx) == len(A) else idx)
+    return q.depart(F, None if len(idx) == len(A) else idx)
 
 
 def _sends(G, base: int, n: int):
@@ -923,25 +974,38 @@ def _ingress(stage: StageSpec, n: int, frame: int) -> None:
 
 
 class _NicStage:
-    """A NIC's TX ring and serializer (the generator's own, or egress)."""
+    """A NIC's TX ring and serializer (the generator's own, or egress).
+
+    ``lead`` is how long before it is due an arrival's event was
+    scheduled, when an upstream RSS core's completion delivers it (the
+    core's service time; 0 otherwise).  A serialization finish is
+    scheduled one serialization time before it is due, and the event
+    heap runs the earlier-scheduled of two events due at one instant
+    first: behind cores slower than the NIC the ring is ``late``.  A
+    single server upstream delivers a frame that finds the ring full
+    less than one serialization after its predecessor, so within a lead
+    (its service) shorter than the NIC's; an ASIC passes on the spacing
+    of a NIC at the line rate of every port, whose ring never fills.
+    """
 
     def __init__(self, nic: Nic, post: float, bits: int, frame: int,
-                 spacing: float):
+                 spacing: float, lead: float = 0.0):
         self.stats = nic.stats
         self.frame = frame
-        self.queue = _Queue(bits / nic.line_rate_bps, nic.tx_ring_size,
-                            post, True, spacing)
+        service = bits / nic.line_rate_bps
+        self.queue = _Queue(service, nic.tx_ring_size, post, True, spacing,
+                            late=lead > service)
         #: Nominal spacing of the departures, which the next stage sees.
-        self.spacing_out = max(spacing, self.queue.service)
+        self.spacing_out = max(spacing, service)
 
-    def feed(self, A, G, base):
-        out, idx = self.queue.feed(A)
+    def feed(self, A, G, base, gap):
+        out, idx, gap = self.queue.feed(A, gap)
         sent = len(out)
         stats = self.stats
         stats.tx_dropped += len(A) - sent
         stats.tx_packets += sent
         stats.tx_bytes += sent * self.frame
-        return out, _survivors(G, idx, base)
+        return out, _survivors(G, idx, base), gap
 
 
 class _FifoStage:
@@ -959,7 +1023,7 @@ class _FifoStage:
                             0.0, False, spacing)
         self.spacing_out = max(spacing, self.queue.service)
 
-    def feed(self, A, G, base):
+    def feed(self, A, G, base, gap):
         n = len(A)
         stage = self.stage
         _ingress(stage, n, self.frame)
@@ -967,22 +1031,25 @@ class _FifoStage:
         stats.received += n
         if not self.gate_open:
             stats.backlog_dropped += n
-            return [], None
-        out, idx = self.queue.feed(A)
+            return [], None, None
+        out, idx, gap = self.queue.feed(A, gap)
         stats.backlog_dropped += n - len(out)
         stats.forwarded += len(out)
         if stage.learns_src and out and self.src:
             # The bridge learns src -> ingress the first time a frame
             # reaches output_port; idempotent for a single-flow batch.
             self.device._fdb[self.src] = stage.ingress
-        return out, _survivors(G, idx, base)
+        return out, _survivors(G, idx, base), gap
 
 
 class _AsicStage:
     """A match-action pipeline: a constant latency, no queue.
 
     The compiler only admits a switch whose table steers our flow to a
-    fixed egress distinct from the ingress, so every frame matches.
+    fixed egress distinct from the ingress, so every frame matches.  The
+    ``+ latency`` rounds each departure by half an ulp, so the gaps lose
+    at most one ulp of the last departure ``d``: the float ``gap - 2
+    ulp(d)`` bounds them.
     """
 
     def __init__(self, stage: StageSpec, frame: int, spacing: float):
@@ -990,11 +1057,12 @@ class _AsicStage:
         self.frame = frame
         self.spacing_out = spacing
 
-    def feed(self, A, G, base):
+    def feed(self, A, G, base, gap):
         n = len(A)
         _ingress(self.stage, n, self.frame)
         self.stage.device.matched += n
-        return [a + PIPELINE_LATENCY_S for a in A], G
+        D = [a + PIPELINE_LATENCY_S for a in A]
+        return D, G, None if gap is None else gap - 2 * math.ulp(D[-1])
 
 
 class _RssStage:
@@ -1028,7 +1096,7 @@ class _RssStage:
         self.held: list = []
         self.spacing_out = max(spacing, self.service / device.cores)
 
-    def feed(self, A, G, base):
+    def feed(self, A, G, base, gap):
         n = len(A)
         stage = self.stage
         device = self.device
@@ -1037,7 +1105,7 @@ class _RssStage:
         stats.received += n
         if not self.gate_open:
             stats.backlog_dropped += n
-            return [], None
+            return [], None, None
         cores = device.cores
         service = self.service
         limit = device.backlog_limit
@@ -1071,7 +1139,7 @@ class _RssStage:
             device._fdb[self.src] = stage.ingress
         cut = bisect_left(out, (A[-1] + service,))
         self.held = out[cut:]
-        return [x[0] for x in out[:cut]], [x[3] for x in out[:cut]]
+        return [x[0] for x in out[:cut]], [x[3] for x in out[:cut]], None
 
     def flush(self):
         out = self.held
@@ -1224,7 +1292,7 @@ class _VmStage:
                 self._start(t)
         return True
 
-    def feed(self, A, G, base):
+    def feed(self, A, G, base, gap):
         """Serve arrivals whose ingress serialization ended at ``A``.
 
         Returns the completions that precede the block's last arrival;
@@ -1239,7 +1307,7 @@ class _VmStage:
         self.horizon = A[-1] + wire
         if not self.gate_open:
             stats.backlog_dropped += n
-            return [], None
+            return [], None, None
         out: List[float] = []
         sent: List[int] = []
         backlog = self.backlog
@@ -1256,7 +1324,7 @@ class _VmStage:
             if not self.busy and not self.paused:
                 self._start(a)
         stats.forwarded += len(out)
-        return out, sent
+        return out, sent, None
 
     def flush(self):
         """Drain the backlog once the sends ran out."""
@@ -1331,8 +1399,11 @@ class _Replay:
         for stage in spec.stages:
             kind = stage.kind
             if kind == "serialize":
+                upstream = self.stages[-1]
+                lead = (upstream.service if isinstance(upstream, _RssStage)
+                        else 0.0)
                 nxt = _NicStage(stage.nic, stage.post_delay_s, bits, frame,
-                                spacing)
+                                spacing, lead)
             elif kind == "fifo":
                 nxt = _FifoStage(stage, probe, frame, spacing)
             elif kind == "rss":
@@ -1362,24 +1433,32 @@ class _Replay:
         self.last_rx: Optional[float] = None
         self.horizon = moongen.sim.now
 
-    def send_block(self, T: List[float], base: int) -> None:
-        """Replay sends ``base, base + 1, ...`` at times ``T``."""
+    def send_block(self, T: List[float], base: int,
+                   gap: Optional[float]) -> None:
+        """Replay sends ``base, base + 1, ...`` at times ``T``, each pair
+        at least ``gap`` apart (None: unknown)."""
         self.T = T
         self.base = base
         if self.holding and self.job.timestamping:
             self.stamps.extend(T[(self.first - base) % self.every::self.every])
         self.horizon = max(self.horizon, T[-1])
-        A, G = self.stages[0].feed(T, None, base)
+        A, G, gap = self.stages[0].feed(T, None, base, gap)
         if A:
             self.admitted += len(A)
             _interval_counts(self.tx_counts, self.bounds, T, len(A), G, base)
-            self.push(A, G, 1)
+            self.push(A, G, 1, gap)
 
-    def push(self, A, G, position: int) -> None:
-        """Feed non-empty sorted arrivals ``A`` (sends ``G``) from a stage on."""
+    def push(self, A, G, position: int, gap: Optional[float]) -> None:
+        """Feed non-empty sorted arrivals ``A`` (sends ``G``) from a stage on.
+
+        ``gap`` is a proved lower bound on the gaps of ``A`` (None when
+        unknown); each stage hands the next one the bound of its
+        departures, which lets an under-loaded stage skip looking at
+        its frames to prove them idle (:func:`_underloaded`).
+        """
         for stage in self.stages[position:]:
             self.horizon = max(self.horizon, A[-1])
-            A, G = stage.feed(A, G, self.base)
+            A, G, gap = stage.feed(A, G, self.base, gap)
             if not A:
                 return
         self.horizon = max(self.horizon, A[-1])
@@ -1427,7 +1506,7 @@ class _Replay:
             if stage in self.holding:
                 A, G = stage.flush()
                 if A:
-                    self.push(A, G, position + 1)
+                    self.push(A, G, position + 1, None)
 
     def finish(self, moongen, sent: int, last_send: float) -> None:
         job = self.job
@@ -1469,6 +1548,7 @@ def _replay_dag(moongen, job, spec: DagSpec) -> None:
     t = moongen.sim.now
     sent = 0
     last_send = t
+    bound = None
     while t < deadline:
         if poisson:
             # One draw per send, after the send, like the event chain.
@@ -1488,7 +1568,10 @@ def _replay_dag(moongen, job, spec: DagSpec) -> None:
                 t = deadline
             else:
                 t = T[-1] + gap
-        replay.send_block(T, sent)
+            # Each ``+ gap`` rounds by half an ulp of the last send; the
+            # float ``gap - 2 ulp`` lies below every gap of the block.
+            bound = gap - 2 * math.ulp(T[-1])
+        replay.send_block(T, sent, bound)
         sent += len(T)
         last_send = T[-1]
     replay.flush()

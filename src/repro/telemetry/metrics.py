@@ -9,6 +9,11 @@ one per run and ships it back inside ``RunOutcome``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Dict, List, Optional, Sequence
 
 __all__ = ["MetricsRegistry", "LATENCY_BUCKETS_S"]
@@ -49,6 +54,13 @@ class MetricsRegistry:
         self, name: str, value: float,
         buckets: Sequence[float] = LATENCY_BUCKETS_S,
     ) -> None:
+        self.observe_many(name, (value,), buckets)
+
+    def observe_many(
+        self, name: str, values: Sequence[float],
+        buckets: Sequence[float] = LATENCY_BUCKETS_S,
+    ) -> None:
+        """Observe each of ``values`` in order, as ``observe`` would."""
         histogram = self.histograms.get(name)
         if histogram is None:
             histogram = {
@@ -60,14 +72,12 @@ class MetricsRegistry:
             self.histograms[name] = histogram
         counts: List[int] = histogram["counts"]  # type: ignore[assignment]
         edges: List[float] = histogram["buckets"]  # type: ignore[assignment]
-        slot = len(edges)
-        for position, edge in enumerate(edges):
-            if value <= edge:
-                slot = position
-                break
-        counts[slot] += 1
-        histogram["sum"] = float(histogram["sum"]) + float(value)
-        histogram["total"] = int(histogram["total"]) + 1
+        # A value falls in the first bucket whose edge it does not exceed.
+        for slot, n in Counter(map(bisect_left, repeat(edges), values)).items():
+            counts[slot] += n
+        # Summed left to right, one observation at a time.
+        histogram["sum"] = reduce(add, values, float(histogram["sum"]))
+        histogram["total"] = int(histogram["total"]) + len(values)
 
     # -- aggregation ---------------------------------------------------------
 

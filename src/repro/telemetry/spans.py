@@ -150,6 +150,9 @@ class RunTelemetry:
     def observe(self, name: str, value: float) -> None:
         self.metrics.observe(name, value)
 
+    def observe_many(self, name: str, values) -> None:
+        self.metrics.observe_many(name, values)
+
     # -- export --------------------------------------------------------------
 
     def payload(self) -> dict:

@@ -121,6 +121,18 @@ class TestMetricsRegistry:
         assert histogram["total"] == 2
         assert histogram["counts"][0] == 1 and histogram["counts"][-1] == 1
 
+    def test_observe_many_equals_one_at_a_time(self):
+        # Every bucket edge, values between and beyond them, an int: the
+        # batch lands each in the same bucket and sums in the same order.
+        values = [edge * factor for edge in LATENCY_BUCKETS_S
+                  for factor in (0.7, 1.0, 1.3)] + [0, 3, 1e-9, 0.1 / 3]
+        one, many = MetricsRegistry(), MetricsRegistry()
+        for value in values:
+            one.observe("h", value)
+        many.observe_many("h", values[:5])
+        many.observe_many("h", values[5:])
+        assert many.snapshot() == one.snapshot()
+
     def test_merge_from_registry_and_snapshot(self):
         left, right = MetricsRegistry(), MetricsRegistry()
         left.count("x", 1)

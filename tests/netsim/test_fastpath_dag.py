@@ -13,7 +13,12 @@ the ISSUE's ≥100x event-reduction floor on the sweep topologies.
 from __future__ import annotations
 
 import os
+from collections import Counter
+from contextlib import contextmanager
+from fractions import Fraction
+from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,8 +36,11 @@ from repro.netsim.router import LinuxRouter
 KINDS = ("router", "multicore", "bridge", "asic")
 
 
-def build_dag(sim, kinds, seed=3, cores=4, generator=MoonGen):
-    """Wire tx -> [one device per kind] -> rx as a feed-forward chain."""
+def build_dag(sim, kinds, seed=3, cores=4, generator=MoonGen, ring=None):
+    """Wire tx -> [one device per kind] -> rx as a feed-forward chain.
+
+    ``ring``, when given, is the TX ring size of the first device's ports.
+    """
     tx = HardwareNic(sim, "lg.tx")
     rx = HardwareNic(sim, "lg.rx")
     devices = []
@@ -59,6 +67,9 @@ def build_dag(sim, kinds, seed=3, cores=4, generator=MoonGen):
         upstream = p1
         devices.append(device)
     DirectWire(sim, upstream, rx)
+    if ring is not None:
+        for port in devices[0].ports:
+            port.tx_ring_size = ring
     if generator is Osnt:
         return Osnt(sim, tx, rx), devices
     return generator(sim, tx, rx, seed=seed), devices
@@ -94,14 +105,14 @@ def observe(gen, devices, job, sim):
 
 def run_topology(batched, kinds, rate_pps, frame_size, pattern="cbr",
                  seed=3, flows=1, cores=4, duration_s=0.01,
-                 interval_s=0.005, runs=1, generator=MoonGen):
+                 interval_s=0.005, runs=1, generator=MoonGen, ring=None):
     previous = os.environ.get("POS_NETSIM_BATCH")
     os.environ["POS_NETSIM_BATCH"] = "1" if batched else "0"
     fastpath.enabled.refresh()
     try:
         sim = Simulator()
         gen, devices = build_dag(sim, kinds, seed=seed, cores=cores,
-                                 generator=generator)
+                                 generator=generator, ring=ring)
         # OSNT sends one flow and takes no flow count.
         options = {"flows": flows} if flows != 1 else {}
         job = None
@@ -230,6 +241,80 @@ class TestOverloadEquivalence:
             kinds=["asic"], rate_pps=200_000, frame_size=64, generator=Osnt,
         )
         assert legacy["dev0"][0] > 0 and legacy["dev0"][1] == 0
+
+    @pytest.mark.parametrize("ring", [1, 2])
+    def test_rss_into_a_short_egress_ring(self, ring):
+        # Cores complete frames at the instant the egress NIC finishes
+        # serializing: a completion was scheduled when its core started,
+        # before the serialization did, so it finds the ring still full
+        # and the frame is dropped.
+        legacy, *_ = assert_equivalent(
+            kinds=["multicore"] * 3, rate_pps=10_000_000, frame_size=512,
+            pattern="poisson", seed=31, flows=2, cores=4, ring=ring,
+        )
+        assert legacy["dev0.ports"][1]["tx_dropped"] > 0
+
+
+STAGES = (fastpath._NicStage, fastpath._FifoStage, fastpath._RssStage,
+          fastpath._AsicStage, fastpath._VmStage)
+
+
+def gaps_at_least(A, gap):
+    """Whether every real gap between consecutive times of ``A`` is >= gap."""
+    # b - a is exact when a >= b / 2 (Sterbenz); Fraction covers the rest.
+    return all(
+        b - a >= gap if a >= b / 2 else Fraction(b) - Fraction(a) >= gap
+        for a, b in zip(A, islice(A, 1, None))
+    )
+
+
+@contextmanager
+def checked_gap_bounds(handed):
+    """Check the gap bound handed to every stage against its block.
+
+    Counts the bounds per stage class in ``handed``.
+    """
+    originals = {cls: cls.feed for cls in STAGES}
+
+    def checked(original):
+        def feed(self, A, G, base, gap):
+            if gap is not None:
+                assert gaps_at_least(A, gap), (type(self).__name__, gap)
+                handed[type(self).__name__] += 1
+            return original(self, A, G, base, gap)
+        return feed
+
+    for cls, original in originals.items():
+        cls.feed = checked(original)
+    try:
+        yield
+    finally:
+        for cls, original in originals.items():
+            cls.feed = original
+
+
+class TestGapBoundSoundness:
+    @given(
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
+        rate_pps=st.sampled_from([150_000, 400_000, 800_000,
+                                  2_000_000, 4_000_000]),
+        frame_size=st.sampled_from([64, 512, 1500]),
+        pattern=st.sampled_from(["cbr", "poisson"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        flows=st.sampled_from([1, 3, 8]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_every_bound_is_below_the_least_gap(
+        self, kinds, rate_pps, frame_size, pattern, seed, flows,
+    ):
+        handed = Counter()
+        with checked_gap_bounds(handed):
+            run_topology(True, kinds=kinds, rate_pps=rate_pps,
+                         frame_size=frame_size, pattern=pattern, seed=seed,
+                         flows=flows)
+        if pattern == "cbr":
+            # The generator's ring always receives the send bound.
+            assert handed["_NicStage"] > 0
 
 
 class TestEventReductionGates:

@@ -11,9 +11,11 @@ event path.
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_left
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -226,56 +228,125 @@ class TestRegimeAlgebra:
         _assert_blocks_equal_loop("_saturated", cap, pops_at_start, 0.0,
                                   start, blocks)
 
+    @given(
+        cap=st.integers(min_value=1, max_value=3),
+        pops_at_start=st.booleans(),
+        post=st.sampled_from([0.0, 5e-9]),
+        start=st.sampled_from([1000.0, 1500.0]),
+        blocks=st.lists(
+            st.lists(st.sampled_from([-1, 0, 1, 4, 8]), min_size=1,
+                     max_size=30),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_underloaded_proof_at_its_edge(self, cap, pops_at_start, post,
+                                           start, blocks):
+        # Gaps of s - ulp, s, s + ulp, s + 4 ulp and s + 8 ulp, where
+        # ``+ s`` rounds down (t = 1000) or up (t = 1500): the proof must
+        # refuse whatever the loop makes wait, and a block 8 ulps clear
+        # of s is proved.
+        proved = _assert_blocks_equal_loop(
+            "_underloaded", cap, pops_at_start, post, start, blocks,
+            step=lambda t, ulps: t + SERVICE + ulps * math.ulp(t),
+        )
+        assert min(proved) >= sum(1 for gaps in blocks if min(gaps) == 8)
 
-def _assert_blocks_equal_loop(regime, cap, pops_at_start, post, start, blocks):
-    column = fastpath._Queue(SERVICE, cap, post, pops_at_start, 1.0)
+
+def least_gap(A):
+    """The largest float at or below every real gap of ``A``."""
+    if len(A) < 2:
+        return math.inf
+    least = min(Fraction(b) - Fraction(a) for a, b in zip(A, A[1:]))
+    bound = float(least)
+    return bound if bound <= least else math.nextafter(bound, -math.inf)
+
+
+def _assert_blocks_equal_loop(regime, cap, pops_at_start, post, start, blocks,
+                              step=lambda t, gap: t + gap * SERVICE):
+    """Run ``blocks`` through ``regime`` and the loop from one state.
+
+    ``_underloaded`` runs twice: measuring each block's least gap, and
+    handed that gap as a carried bound.  Returns how many blocks each
+    served without the loop.
+    """
     loop = fastpath._Queue(SERVICE, cap, post, pops_at_start, 1.0)
+    columns = [fastpath._Queue(SERVICE, cap, post, pops_at_start, 1.0)
+               for __ in range(2 if regime == "_underloaded" else 1)]
+    proved = [0] * len(columns)
     t = start
     for gaps in blocks:
         arrivals = []
         for gap in gaps:
-            t = t + gap * SERVICE
+            t = step(t, gap)
             arrivals.append(t)
         n = len(arrivals)
-        served = getattr(fastpath, regime)(column, list(arrivals))
-        if served is None:
-            served = fastpath._queue_loop(column, list(arrivals))
         want = fastpath._queue_loop(loop, list(arrivals))
-        assert served[0] == want[0]
         expected = list(range(n)) if want[1] is None else want[1]
-        got = served[1]
-        if isinstance(got, fastpath._Admitted):
-            # The implicit form answers every prefix count exactly and
-            # lists exactly the loop's admissions.
-            for i in range(n + 1):
-                assert got.count(i) == bisect_left(expected, i), i
-            got = got.sends()
-        assert (list(range(n)) if got is None else got) == expected
-        assert column.free == loop.free
-        assert _pending(column, t) == _pending(loop, t)
+        for carried, column in enumerate(columns):
+            bound = least_gap(arrivals) if carried else None
+            served = getattr(fastpath, regime)(column, list(arrivals), bound)
+            if served is None:
+                served = fastpath._queue_loop(column, list(arrivals))
+            else:
+                proved[carried] += 1
+            assert served[0] == want[0]
+            got = served[1]
+            if isinstance(got, fastpath._Admitted):
+                # The implicit form answers every prefix count exactly
+                # and lists exactly the loop's admissions.
+                for i in range(n + 1):
+                    assert got.count(i) == bisect_left(expected, i), i
+                got = got.sends()
+            assert (list(range(n)) if got is None else got) == expected
+            assert column.free == loop.free
+            assert _pending(column, t) == _pending(loop, t)
+    return proved
+
+
+def pos_sweep(duration_s, interval_s):
+    """The POS_RATES x {64, 1500} sweep at the controller's run epochs."""
+    setup = boot_and_configure(build_pos_pair(seed=0))
+    for index, (size, rate) in enumerate(
+        (size, rate) for size in (64, 1500) for rate in POS_RATES
+    ):
+        setup.begin_run(index)
+        job = setup.loadgen.start(rate_pps=rate, frame_size=size,
+                                  duration_s=duration_s, interval_s=interval_s)
+        setup.sim.run(until=setup.sim.now + duration_s + 0.05)
+        assert job.finished and job.rx_packets > 0
 
 
 class TestPosSweepEngagement:
     def test_fig3a_sweep_never_loops(self, regimes, monkeypatch):
         # A kernel that silently loops per packet on part of the sweep
         # still passes every equivalence test; this pins the whole
-        # POS_RATES x {64, 1500} sweep, at the same run epochs the
-        # controller uses, to the column regimes.
+        # sweep to the column regimes.
         def refuse(*args, **kwargs):
             raise AssertionError("per-packet loop entered")
 
         monkeypatch.setattr(fastpath, "_queue_loop", refuse)
-        setup = boot_and_configure(build_pos_pair(seed=0))
-        for index, (size, rate) in enumerate(
-            (size, rate) for size in (64, 1500) for rate in POS_RATES
-        ):
-            setup.begin_run(index)
-            job = setup.loadgen.start(rate_pps=rate, frame_size=size,
-                                      duration_s=0.005, interval_s=0.002)
-            setup.sim.run(until=setup.sim.now + 0.055)
-            assert job.finished and job.rx_packets > 0
+        pos_sweep(duration_s=0.005, interval_s=0.002)
         assert _served(regimes) == {"_underloaded", "_critical", "_saturated"}
         assert not any(count for (__, ok), count in regimes.items() if not ok)
+
+    def test_fig3a_underloaded_blocks_use_the_carried_bound(self, monkeypatch):
+        # A kernel that drops the carried gap bound and measures each
+        # block's least gap again is exact, only slower; this pins every
+        # under-loaded NIC and FIFO block of the sweep to the proof from
+        # the bound its upstream stage handed it.
+        proofs: Counter = Counter()
+        original = fastpath._underloaded
+
+        def spy(q, A, gap=None):
+            served = original(q, A, gap)
+            proofs[gap is not None, served is not None] += 1
+            return served
+
+        monkeypatch.setattr(fastpath, "_underloaded", spy)
+        pos_sweep(duration_s=0.005, interval_s=0.002)
+        assert set(proofs) == {(True, True)}
+        assert proofs[True, True] > 100
 
     def test_fig3a_saturated_blocks_stay_implicit(self, monkeypatch):
         # An exact kernel that lists every admitted frame again passes
@@ -291,14 +362,7 @@ class TestPosSweepEngagement:
             return served
 
         monkeypatch.setattr(fastpath, "_saturated", spy)
-        setup = boot_and_configure(build_pos_pair(seed=0))
-        for index, (size, rate) in enumerate(
-            (size, rate) for size in (64, 1500) for rate in POS_RATES
-        ):
-            setup.begin_run(index)
-            setup.loadgen.start(rate_pps=rate, frame_size=size,
-                                duration_s=0.02, interval_s=0.01)
-            setup.sim.run(until=setup.sim.now + 0.07)
+        pos_sweep(duration_s=0.02, interval_s=0.01)
         # Blocks that admit every frame return None; none lists.
         assert set(forms) == {("_Admitted", True), ("NoneType", False)}
         assert forms["_Admitted", True] > 100
